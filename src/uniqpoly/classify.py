@@ -397,8 +397,8 @@ def classify(p: Poly, degree_cap: int = 64) -> Verdict:
 
     # rule 3: with a wide gap below the top exponent, the rotation scan
     # is complete, so coprime support settles the strong verdicts
-    scan_f = linear_factor_scan(p, "F")
-    scan_fc = linear_factor_scan(p, "F_c")
+    scan_f = linear_factor_scan(idx, "F")
+    scan_fc = linear_factor_scan(idx, "F_c")
     if scan_f.applicable:
         clean = not scan_f.factors and not scan_fc.factors
         inputs = {
@@ -639,6 +639,8 @@ def _constraint_gcd(p: Poly) -> Poly:
     in beta per remaining coefficient.
     """
     n = p.degree
+    if n < 1:
+        raise ValueError("search needs degree at least 1")
     s = -p.coeff(n - 1) / (n * p.lc)
     gamma = Poly.of(s, -s)  # s * (1 - beta) as a polynomial in beta
     powers = [Poly.of(Q(1))]
@@ -669,7 +671,8 @@ def _strip_root(g: Poly, root: Fraction) -> Poly:
 
 
 def witness_search(p: Poly, mode: str = "any_c",
-                   max_order: Optional[int] = None) -> Optional[Witness]:
+                   max_order: Optional[int] = None, *,
+                   constraint: Optional[Poly] = None) -> Optional[Witness]:
     """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
     Exact coefficient comparison reduces the problem to one constraint
@@ -677,13 +680,13 @@ def witness_search(p: Poly, mode: str = "any_c",
     test and root-of-unity solutions from cyclotomic divisors (orders
     up to the degree). Mode "c_equals_1" restricts to c = 1, the maps
     that break plain uniqueness. The identity map never counts. Returns
-    a replayed witness or None.
+    a replayed witness or None. A caller searching both modes passes
+    ``constraint``, the ``_constraint_gcd(p)`` it has already built.
     """
     if mode not in ("any_c", "c_equals_1"):
         raise ValueError("mode must be 'any_c' or 'c_equals_1'")
+    g = _constraint_gcd(p) if constraint is None else constraint
     n = p.degree
-    if n < 1:
-        raise ValueError("search needs degree at least 1")
     s = -p.coeff(n - 1) / (n * p.lc)
     cap = max_order or max(n, 2)
 
@@ -703,7 +706,6 @@ def witness_search(p: Poly, mode: str = "any_c",
             raise RuntimeError("searched witness failed to replay")
         return w
 
-    g = _constraint_gcd(p)
     if g.is_zero:
         # an exact power of (X - s): every map about the center works
         if mode == "any_c" or n % 2 == 0:
@@ -741,8 +743,9 @@ def consistency_audit(p: Poly, verdict: Optional[Verdict] = None) -> dict:
     failures: list[str] = []
     checked: dict[str, str] = {}
 
-    any_c = witness_search(p, "any_c")
-    c_one = witness_search(p, "c_equals_1")
+    constraint = _constraint_gcd(p)
+    any_c = witness_search(p, "any_c", constraint=constraint)
+    c_one = witness_search(p, "c_equals_1", constraint=constraint)
 
     for slot in SLOTS:
         value = v.slot(slot)

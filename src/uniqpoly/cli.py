@@ -21,18 +21,24 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import (
     SLOTS,
+    _constraint_gcd,
     classify,
     consistency_audit,
     corollary_classify,
     witness_search,
 )
-from .criteria import critical_structure, linear_factor_scan
+from .criteria import (
+    CriticalStructure,
+    IndexData,
+    critical_structure,
+    index_data,
+    linear_factor_scan,
+)
 from .curves import (
     Configuration,
     bezout_irreducibility,
@@ -43,7 +49,7 @@ from .curves import (
     verify_curve_identities,
 )
 from .orders import hyperbolicity_verdict, replay_verdict
-from .parser import DegreeCapError, ParseError, parse_poly
+from .parser import parse_poly
 from .polynomials import Poly, rational_roots
 from . import report as rpt
 
@@ -150,27 +156,48 @@ def _run_witness(text: str, args) -> tuple[int, dict]:
     if args.seed is not None:
         rep["seed"] = args.seed
     results = {}
-    steps = 0
+    constraint = _constraint_gcd(p)
     for mode in ("any_c", "c_equals_1"):
-        w = witness_search(p, mode=mode)
-        steps += 1
+        w = witness_search(p, mode=mode, constraint=constraint)
         results[mode] = None if w is None else rpt.jsonable(w.as_dict())
         if w is not None:
             # witness_search replays before returning; record that
             results[mode]["replayed"] = True
     rep["witnesses"] = results
-    rep["timing"] = {"mode": "deterministic", "rule_steps": steps}
+    rep["timing"] = {"mode": "deterministic", "rule_steps": len(results)}
     return EXIT_OK, rep
 
 
-def _scaled_census_block(p: Poly, c: Fraction) -> dict:
+def _census_block(config: Configuration, no_linear: bool,
+                  head: dict) -> dict:
+    """Census, irreducibility and genus of a curve, after ``head``."""
+    census = singular_census(config)
+    irr = bezout_irreducibility(config.degree, census, no_linear)
+    block = {
+        "available": True,
+        "multiplicities": list(config.mults),
+        **head,
+        "census": [
+            {"label": pt.label, "multiplicity": pt.multiplicity,
+             "ordinary": pt.ordinary}
+            for pt in census
+        ],
+        "irreducible": irr.irreducible,
+        "irreducibility_reason": irr.reason,
+    }
+    if irr.irreducible and all(pt.ordinary for pt in census):
+        block["genus"] = genus_ordinary(config.degree, census)
+    return block
+
+
+def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
+                         idx: IndexData) -> dict:
     """Census of the scaled curve from rational critical data.
 
     Complete only when every critical value is rational (conjugate
     irrational values cannot be paired exactly), so the block says when
     it must abstain.
     """
-    cs = critical_structure(p)
     if not cs.is_separated:
         return {"available": False,
                 "reason": "critical values are not separated"}
@@ -185,12 +212,9 @@ def _scaled_census_block(p: Poly, c: Fraction) -> dict:
     if sum(m for _, m in roots) != sep.degree:
         return {"available": False,
                 "reason": "some critical value is irrational"}
-    # separated + rational values forces rational critical points
-    points: list[tuple[Fraction, int]] = []
-    for factor, mult in _derivative_parts(cs):
-        for r, _ in rational_roots(factor):
-            points.append((r, mult))
-    points.sort(key=lambda t: t[0])
+    # separated + rational values forces rational critical points, and
+    # their multiplicities as roots of P' are the profile
+    points = rational_roots(cs.derivative)
     mults = tuple(m for _, m in points)
     values = [p.evaluate(x) for x, _ in points]
     pairing = tuple(
@@ -199,62 +223,23 @@ def _scaled_census_block(p: Poly, c: Fraction) -> dict:
         for j in range(len(values))
         if i != j and values[i] == c * values[j]
     )
-    config = Configuration("scaled", mults, pairing)
-    census = singular_census(config)
-    scan = linear_factor_scan(p, "F_c")
+    scan = linear_factor_scan(idx, "F_c")
     no_linear = not any(
         f.c_rational is None or f.c_rational == c for f in scan.factors
     )
-    irr = bezout_irreducibility(config.degree, census, no_linear)
-    block = {
-        "available": True,
-        "multiplicities": list(mults),
+    return _census_block(Configuration("scaled", mults, pairing), no_linear, {
         "critical_points": [x for x, _ in points],
         "critical_values": values,
         "pairing": [list(e) for e in pairing],
-        "census": [
-            {"label": pt.label, "multiplicity": pt.multiplicity,
-             "ordinary": pt.ordinary}
-            for pt in census
-        ],
-        "irreducible": irr.irreducible,
-        "irreducibility_reason": irr.reason,
-    }
-    if irr.irreducible and all(pt.ordinary for pt in census):
-        block["genus"] = genus_ordinary(config.degree, census)
-    return block
+    })
 
 
-def _derivative_parts(cs):
-    from .polynomials import squarefree_parts
-
-    return squarefree_parts(cs.derivative)
-
-
-def _shared_census_block(p: Poly) -> dict:
-    cs = critical_structure(p)
+def _shared_census_block(cs: CriticalStructure, idx: IndexData) -> dict:
     if not cs.is_separated:
         return {"available": False,
                 "reason": "critical values are not separated"}
-    config = Configuration("shared", cs.profile)
-    census = singular_census(config)
-    scan = linear_factor_scan(p, "F")
-    no_linear = not scan.factors
-    irr = bezout_irreducibility(config.degree, census, no_linear)
-    block = {
-        "available": True,
-        "multiplicities": list(cs.profile),
-        "census": [
-            {"label": pt.label, "multiplicity": pt.multiplicity,
-             "ordinary": pt.ordinary}
-            for pt in census
-        ],
-        "irreducible": irr.irreducible,
-        "irreducibility_reason": irr.reason,
-    }
-    if irr.irreducible and all(pt.ordinary for pt in census):
-        block["genus"] = genus_ordinary(config.degree, census)
-    return block
+    no_linear = not linear_factor_scan(idx, "F").factors
+    return _census_block(Configuration("shared", cs.profile), no_linear, {})
 
 
 def _run_curve(text: str, args) -> tuple[int, dict]:
@@ -269,11 +254,13 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
     if c is not None and c in (0, 1):
         raise ValueError("the multiplier c must avoid 0 and 1")
     identities = verify_curve_identities(p, c if c is not None else Fraction(2))
+    cs = critical_structure(p)
+    idx = index_data(p)
     shared_keys = [k for k in identities if k.startswith("shared")]
     rep["shared_curve"] = {
         "defining": str(shared_value_curve(p)),
         "identities": {k: identities[k] for k in shared_keys},
-        "census": rpt.jsonable(_shared_census_block(p)),
+        "census": rpt.jsonable(_shared_census_block(cs, idx)),
     }
     steps = 1 + len(identities)
     if c is not None:
@@ -282,7 +269,7 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
             "c": rpt.jsonable(c),
             "defining": str(scaled_value_curve(p, c)),
             "identities": {k: identities[k] for k in scaled_keys},
-            "census": rpt.jsonable(_scaled_census_block(p, c)),
+            "census": rpt.jsonable(_scaled_census_block(p, c, cs, idx)),
         }
         steps += 1
     ok = all(identities[k] for k in shared_keys) if c is None \
@@ -393,9 +380,7 @@ def _run_one_guarded(
 ) -> tuple[int, dict]:
     try:
         return runner(text)
-    except (ParseError, DegreeCapError) as exc:
-        return EXIT_PARSE, _error_report(command, EXIT_PARSE, str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and DegreeCapError included
         return EXIT_PARSE, _error_report(command, EXIT_PARSE, str(exc))
     except RuntimeError as exc:
         return EXIT_INTERNAL, _error_report(command, EXIT_INTERNAL, str(exc))
@@ -404,19 +389,16 @@ def _run_one_guarded(
 def _batch(runner, args, command: str) -> int:
     try:
         with open(args.batch, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+            texts = [t for t in (line.strip() for line in fh) if t]
     except OSError as exc:
         sys.stderr.write(f"uniqpoly: cannot read batch file: {exc}\n")
         return EXIT_USAGE
-    jobs = [line for line in lines if line]
-    # workers keep input order through map; output stays one line per input
-    with ThreadPoolExecutor() as pool:
-        results = list(
-            pool.map(lambda t: _run_one_guarded(runner, t, command), jobs)
-        )
     code = EXIT_OK
-    for item_code, rep in results:
+    for text in texts:
+        item_code, rep = _run_one_guarded(runner, text, command)
+        # one report per line, written as soon as its line is done
         sys.stdout.write(rpt.dumps_line(rep) + "\n")
+        sys.stdout.flush()
         code = max(code, item_code)
     return code
 

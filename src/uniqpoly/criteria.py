@@ -133,12 +133,11 @@ def critical_structure(p: Poly) -> CriticalStructure:
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
     dp = p.derivative()
-    rad = radical(dp)
+    parts = squarefree_parts(dp)
+    rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
     l = rad.degree
-    profile: list[int] = []
-    for factor, mult in squarefree_parts(dp):
-        profile.extend([mult] * factor.degree)
-    profile.sort(reverse=True)
+    profile = sorted((mult for factor, mult in parts
+                      for _ in range(factor.degree)), reverse=True)
     # separation polynomial by evaluation and interpolation: since rad is
     # monic, Res_X(rad, t - P) = prod_i (t - P(alpha_i)) for each value t
     pts = []
@@ -207,8 +206,8 @@ class LinearFactorScan:
     factors: tuple[LinearFactor, ...]
 
 
-def linear_factor_scan(p: Poly, mode: str = "F") -> LinearFactorScan:
-    """Lines X = bY inside a value-sharing curve.
+def linear_factor_scan(idx: IndexData, mode: str = "F") -> LinearFactorScan:
+    """Lines X = bY inside a value-sharing curve, read off ``index_data(P)``.
 
     Against the centered form, such a line inside the shared curve means
     P0(bY) = P0(Y), which holds for b a primitive r-th root of unity
@@ -223,7 +222,6 @@ def linear_factor_scan(p: Poly, mode: str = "F") -> LinearFactorScan:
     """
     if mode not in ("F", "F_c"):
         raise ValueError("mode must be 'F' or 'F_c'")
-    idx = index_data(p)
     applicable = idx.tail_gap is not None and idx.tail_gap >= 3
     factors: list[LinearFactor] = []
     if mode == "F":

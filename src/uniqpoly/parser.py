@@ -11,7 +11,7 @@ Numbers are nonnegative integer literals; a slash directly after an
 integer makes a rational literal (there is no division operator).
 Juxtaposition multiplies, so "4X" and "2(X+1)" work. Errors carry the
 byte offset of the offending token and the set of tokens that would
-have been accepted there.
+have been accepted there. Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ class DegreeCapError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+# each level of parentheses costs four stack frames (expr, term, factor,
+# atom), so this stays well inside the default recursion limit of 1000
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -74,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -144,11 +149,16 @@ class _Parser:
             self.take()
             return X
         if kind == "(":
-            self.take()
+            _, _, offset = self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", offset)
             inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail((")",))
             self.take()
+            self.depth -= 1
             return inner
         self.fail(("number", "X", "("))
 

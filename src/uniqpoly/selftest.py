@@ -28,7 +28,12 @@ from .classify import (
     verify_witness,
     witness_search,
 )
-from .criteria import critical_structure, exceptional_flags, linear_factor_scan
+from .criteria import (
+    critical_structure,
+    exceptional_flags,
+    index_data,
+    linear_factor_scan,
+)
 from .curves import (
     Configuration,
     example1_family,
@@ -168,7 +173,8 @@ def converse_factor_pins() -> CriterionResult:
     cases = 0
     for p, mode, order, c_exp in pins:
         cases += 1
-        scan = linear_factor_scan(p, mode)
+        idx = index_data(p)
+        scan = linear_factor_scan(idx, mode)
         if not scan.applicable:
             failures.append((str(p), "scan not applicable"))
             continue
@@ -180,7 +186,7 @@ def converse_factor_pins() -> CriterionResult:
         if not _factor_divides(p, order, c_exp):
             failures.append((str(p), "factor fails cyclotomic division"))
         other = "F" if mode == "F_c" else "F_c"
-        for f in linear_factor_scan(p, other).factors:
+        for f in linear_factor_scan(idx, other).factors:
             if not _factor_divides(p, f.order, f.c_exponent):
                 failures.append((str(p), other, "stray factor does not divide"))
     return _result("converse-factor-pins", start, cases, failures)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from fractions import Fraction as Q
 
@@ -11,6 +13,9 @@ from uniqpoly.classify import (
     witness_search,
 )
 from uniqpoly.polynomials import Poly, X
+
+# the package re-exports the function classify under the module's name
+classify_mod = importlib.import_module("uniqpoly.classify")
 
 
 def verdicts(p):
@@ -268,6 +273,43 @@ def test_consistency_audit():
     bad = replace(v, sup_rational="yes")
     rep = consistency_audit(X**4 - 4 * X, bad)
     assert not rep["ok"]
+
+
+def _count_calls(monkeypatch, module, name, calls=None) -> list:
+    calls = [] if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_computes_index_data_once(monkeypatch):
+    from uniqpoly import criteria
+
+    calls = _count_calls(monkeypatch, classify_mod, "index_data")
+    _count_calls(monkeypatch, criteria, "index_data", calls)
+    for p in [X**4 + X + 1, X**7 + X**3 + X, X**8 + X**4 + X**2]:
+        calls.clear()
+        classify(p)
+        assert len(calls) == 1
+
+
+def test_audit_builds_constraint_gcd_once(monkeypatch):
+    calls = _count_calls(monkeypatch, classify_mod, "_constraint_gcd")
+    for p in [X**4 + X + 1, X**6 + X**3, X**7 + X**3 + X]:
+        v = classify(p)
+        calls.clear()
+        rep = consistency_audit(p, v)
+        assert rep["ok"], rep["failures"]
+        assert len(calls) == 1
+    # each mode still searches on its own when called alone
+    calls.clear()
+    assert witness_search(X**6 + X**3, "c_equals_1").order == 3
+    assert len(calls) == 1
 
 
 def test_trace_is_json_friendly():

@@ -140,39 +140,40 @@ def test_affine_symmetry_orders():
 
 def test_linear_factor_scan():
     # even polynomial: line with multiplier 1, none with multiplier != 1
-    scan = linear_factor_scan(X**8 + X**4 + X**2, "F")
+    scan = linear_factor_scan(index_data(X**8 + X**4 + X**2), "F")
     assert scan.applicable and scan.gap == 4
     assert [f.order for f in scan.factors] == [2]
     assert scan.factors[0].c_rational == 1
-    assert linear_factor_scan(X**8 + X**4 + X**2, "F_c").factors == ()
+    scan = linear_factor_scan(index_data(X**8 + X**4 + X**2), "F_c")
+    assert scan.factors == ()
 
     # odd polynomial: the scaled curve picks up X + Y with c = -1
-    scan = linear_factor_scan(X**7 + X**3 + X, "F_c")
+    scan = linear_factor_scan(index_data(X**7 + X**3 + X), "F_c")
     assert scan.applicable
     assert scan.factors == (LinearFactor(2, 1, Q(-1)),)
-    assert linear_factor_scan(X**7 + X**3 + X, "F").factors == ()
+    assert linear_factor_scan(index_data(X**7 + X**3 + X), "F").factors == ()
 
-    scan = linear_factor_scan(X**4 - 4 * X, "F_c")
+    scan = linear_factor_scan(index_data(X**4 - 4 * X), "F_c")
     assert scan.applicable and scan.gap == 3
     assert scan.factors == (LinearFactor(3, 1, None),)  # multiplier zeta_3
-    assert linear_factor_scan(X**4 - 4 * X, "F").factors == ()
+    assert linear_factor_scan(index_data(X**4 - 4 * X), "F").factors == ()
 
     for mode in ("F", "F_c"):
-        scan = linear_factor_scan(X**4 + X + 1, mode)
+        scan = linear_factor_scan(index_data(X**4 + X + 1), mode)
         assert scan.applicable and scan.factors == ()
 
     # gap 2: factors still reported, but the list is not certified complete
-    scan = linear_factor_scan(X**6 + X**4, "F")
+    scan = linear_factor_scan(index_data(X**6 + X**4), "F")
     assert not scan.applicable and scan.gap == 2
     assert scan.factors == (LinearFactor(2, 0, Q(1)),)
 
     # pure power: no second support exponent, never applicable
-    scan = linear_factor_scan(X**6, "F")
+    scan = linear_factor_scan(index_data(X**6), "F")
     assert not scan.applicable and scan.gap is None
     assert scan.factors == (LinearFactor(6, 0, Q(1)),)
 
     with pytest.raises(ValueError):
-        linear_factor_scan(X**4 + X, "shared")
+        linear_factor_scan(index_data(X**4 + X), "shared")
 
 
 def test_exceptional_flags():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
 from uniqpoly import cli
 from uniqpoly.parser import (
+    MAX_NESTING,
     DegreeCapError,
     ParseError,
     format_poly,
@@ -88,6 +91,16 @@ def test_degree_cap():
     assert parse_poly("X^64", degree_cap=64).degree == 64
 
 
+def test_nesting_limit():
+    assert parse_poly("(" * 50 + "X^4+X+1" + ")" * 50) == X**4 + X + 1
+    deep = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
+    assert parse_poly(deep) == X
+    with pytest.raises(ParseError) as info:
+        parse_poly("(" + deep + ")")
+    # the offset is that of the first parenthesis past the limit
+    assert info.value.offset == MAX_NESTING
+
+
 def test_format_round_trip_pins():
     pins = [
         X**4 + X + 1,
@@ -141,6 +154,16 @@ def test_classify_parse_error_exit_two(capsys):
     assert code == 2
     assert rep["error"]["kind"] == "parse"
     assert "offset 2" in rep["error"]["message"]
+
+
+def test_deep_nesting_exit_two(capsys):
+    text = "(" * 3000 + "X^4+X+1" + ")" * 3000
+    code, out, _ = run_cli(capsys, "classify", text)
+    rep = json.loads(out)
+    assert code == 2
+    assert rep["error"]["kind"] == "parse"
+    assert (f"nested deeper than {MAX_NESTING} at offset {MAX_NESTING}"
+            in rep["error"]["message"])
 
 
 def test_classify_out_of_scope_exit_three(capsys):
@@ -215,6 +238,24 @@ def test_batch_preserves_order_and_worst_code(capsys, tmp_path):
     assert all("\n" not in json.dumps(rep) for rep in lines)
 
 
+def test_batch_writes_each_line_before_the_next(monkeypatch, tmp_path):
+    batch = tmp_path / "polys.txt"
+    batch.write_text("X^4+X+1\nX^^2\n\nX^5+X^2\n")
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written_before = []
+    parse = cli.parse_poly
+
+    def parse_after_write(text, degree_cap=None):
+        written_before.append(out.getvalue().count("\n"))
+        return parse(text, degree_cap=degree_cap)
+
+    monkeypatch.setattr(cli, "parse_poly", parse_after_write)
+    assert cli.main(["classify", "--batch", str(batch)]) == 2
+    assert written_before == [0, 1, 2]
+    assert len(out.getvalue().splitlines()) == 3
+
+
 def test_batch_rejects_text_mode(capsys, tmp_path):
     batch = tmp_path / "polys.txt"
     batch.write_text("X^2\n")
@@ -233,6 +274,21 @@ def test_curve_subcommand(capsys):
     assert scaled["available"] is True
     assert scaled["critical_values"] == ["2", "-2"]
     assert scaled["pairing"] == []
+
+
+def test_curve_computes_critical_structure_once(capsys, monkeypatch):
+    calls = []
+    original = cli.critical_structure
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(cli, "critical_structure", counted)
+    code, out, _ = run_cli(capsys, "curve", "X^3-3X", "--c", "2")
+    assert code == 0
+    assert json.loads(out)["scaled_curve"]["census"]["available"] is True
+    assert len(calls) == 1
 
 
 def test_curve_pairing_detected(capsys):
