@@ -7,8 +7,8 @@ Every verdict is yes, no, or out_of_scope, and every no carries a
 justification that replays:
 
 * a linear witness, a map x -> beta x + gamma with P(beta X + gamma) =
-  c P(X) checked as an exact polynomial identity (over a cyclotomic
-  quotient when beta is a root of unity), or
+  c P(X) checked as an exact polynomial identity (as a congruence on
+  the centered exponents when beta is a root of unity), or
 * a certificate naming a curve of genus 0 or 1: the value-sharing curve
   is irreducible by the intersection-count argument and its census
   genus is too small to obstruct maps, so nonconstant pairs exist even
@@ -54,8 +54,7 @@ from .curves import (
     genus_ordinary,
     singular_census,
 )
-from .cyclotomic import cyclotomic, zeta
-from .polynomials import Poly, poly_gcd, radical, rational_roots
+from .polynomials import Poly, cyclotomic, poly_gcd, radical, rational_roots
 
 Q = Fraction
 
@@ -147,13 +146,11 @@ def _verify_linear(p: Poly, w: Witness) -> bool:
     r = w.order or 1
     if r < 2:
         return False
-    shifted = p.taylor_shift(center)
-    b = zeta(r)
-    c = zeta(r, w.c_exponent or 0)
-    for i in shifted.support():
-        if b**i != c:
-            return False
-    return True
+    # for z a primitive r-th root of unity, z^i = z^e exactly when
+    # i = e (mod r), so P0(z X) = z^e P0(X) is a congruence on exponents
+    e = w.c_exponent or 0
+    return all((i - e) % r == 0
+               for i in p.taylor_shift(center).support())
 
 
 def _verify_exception(p: Poly, w: Witness) -> bool:
@@ -240,13 +237,6 @@ class Verdict:
 
     def slot(self, name: str) -> str:
         return getattr(self, name)
-
-    @property
-    def witness(self) -> Optional[Witness]:
-        for name in SLOTS:
-            if name in self.witnesses:
-                return self.witnesses[name]
-        return None
 
     def as_dict(self) -> dict:
         out: dict = {name: self.slot(name) for name in SLOTS}

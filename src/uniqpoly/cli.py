@@ -82,30 +82,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", parser_class=_ArgumentParser)
 
-    def common(p: argparse.ArgumentParser, batch: bool = False) -> None:
+    def output_mode(p: argparse.ArgumentParser) -> None:
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--json", dest="text_mode", action="store_false",
                           default=False, help="JSON output (default)")
         mode.add_argument("--text", dest="text_mode", action="store_true",
                           help="indented text output")
+
+    def degree_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--degree-cap", type=int, default=64, metavar="K",
                        help="reject inputs of degree above K (default 64)")
+
+    def seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, metavar="N",
                        help="seed for randomized replay checks")
-        if batch:
-            p.add_argument("--batch", metavar="FILE",
-                           help="read one polynomial per line, emit one"
-                                " JSON report per line in input order")
+
+    def per_poly(p: argparse.ArgumentParser) -> None:
+        output_mode(p)
+        degree_cap(p)
+        seed(p)
+        p.add_argument("--batch", metavar="FILE",
+                       help="read one polynomial per line, emit one"
+                            " JSON report per line in input order")
 
     c = sub.add_parser("classify", help="four-way verdict for a polynomial")
     c.add_argument("poly", nargs="?", help="polynomial in X, e.g. 'X^4+X+1'")
-    common(c, batch=True)
+    per_poly(c)
 
     c = sub.add_parser("curve", help="value-sharing curve certificates")
     c.add_argument("poly", nargs="?")
     c.add_argument("--c", type=_rational, default=None, metavar="Q",
                    help="multiplier for the scaled curve (not 0 or 1)")
-    common(c, batch=True)
+    per_poly(c)
 
     c = sub.add_parser("forms", help="hyperbolicity certificate for a"
                                      " critical-point configuration")
@@ -113,11 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("mults", help="comma-separated multiplicities, e.g. 2,1,1")
     c.add_argument("--pairing", default="", metavar="I:J,...",
                    help="value pairs i:j meaning value_i = c * value_j")
-    common(c)
+    output_mode(c)
+    seed(c)
 
     c = sub.add_parser("witness", help="search for value-preserving maps")
     c.add_argument("poly", nargs="?")
-    common(c, batch=True)
+    per_poly(c)
 
     c = sub.add_parser("corollary", help="table row for the one-gap family"
                                          " (X-alpha)^n + a (X-alpha)^m + b")
@@ -126,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("m", type=int)
     c.add_argument("a", type=_rational)
     c.add_argument("b", type=_rational)
-    common(c)
+    output_mode(c)
+    degree_cap(c)
 
     c = sub.add_parser("selftest", help="run the acceptance suites")
     c.add_argument("--fast", action="store_true",
                    help="reduced case counts for a quick check")
-    common(c)
+    output_mode(c)
+    seed(c)
     return top
 
 
@@ -207,14 +218,14 @@ def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
         return {"available": False,
                 "reason": "a critical value is zero; the pairing census"
                           " does not model the diagonal point"}
-    sep = cs.separation_poly
-    roots = rational_roots(sep)
-    if sum(m for _, m in roots) != sep.degree:
+    # under separation Galois-conjugate critical points would share a
+    # value, so every critical value is rational exactly when every
+    # critical point is; their multiplicities as roots of P' are the
+    # profile
+    points = rational_roots(cs.derivative)
+    if sum(m for _, m in points) != cs.derivative.degree:
         return {"available": False,
                 "reason": "some critical value is irrational"}
-    # separated + rational values forces rational critical points, and
-    # their multiplicities as roots of P' are the profile
-    points = rational_roots(cs.derivative)
     mults = tuple(m for _, m in points)
     values = [p.evaluate(x) for x, _ in points]
     pairing = tuple(
@@ -318,7 +329,10 @@ def _run_corollary(args) -> tuple[int, dict]:
         raise UsageError(str(exc))
     base = Poly.from_support({args.n: Fraction(1), args.m: args.a, 0: args.b})
     p = base.taylor_shift(-args.alpha)
-    verdict = classify(p)
+    try:
+        verdict = classify(p, degree_cap=args.degree_cap)
+    except ValueError as exc:  # the degree n is over the cap
+        raise UsageError(str(exc))
     got = tuple(verdict.slot(s) == "yes" for s in SLOTS)
     match = got == table.as_tuple()
     rep = rpt.base_report("corollary")

@@ -145,7 +145,8 @@ def critical_structure(p: Poly) -> CriticalStructure:
         val = resultant(rad, Poly.of(Q(t)) - p)
         pts.append((Q(t), val))
     sep = lagrange_interpolate(pts)
-    assert sep.degree == l and sep.lc == 1, "separation polynomial must be monic"
+    if sep.degree != l or sep.lc != 1:
+        raise RuntimeError(f"separation polynomial must be monic of degree {l}")
     separated = poly_gcd(sep, sep.derivative()).degree == 0
     return CriticalStructure(
         derivative=dp,

@@ -328,43 +328,9 @@ def local_multiplicity(curve: TriPoly, x0, y0) -> int:
     return min(a + b for a, b in exp)
 
 
-def tangent_cone_is_squarefree(curve: TriPoly, x0, y0) -> bool:
-    """Whether the point is ordinary: initial form with distinct lines."""
-    exp = _local_expansion(curve, x0, y0)
-    mu = min(a + b for a, b in exp)
-    if mu == 0:
-        raise ValueError("point is not on the curve")
-    coeffs = [exp.get((a, mu - a), Q(0)) for a in range(mu + 1)]
-    return _binary_form_squarefree(coeffs)
-
-
-def _binary_form_squarefree(coeffs: list[Fraction]) -> bool:
-    # B(u, v) = sum coeffs[a] u^a v^(mu-a); squarefree as a form means the
-    # dehomogenization in u is squarefree and v divides at most once
-    from .polynomials import Poly as _P
-    from .polynomials import poly_gcd as _gcd
-
-    mu = len(coeffs) - 1
-    f = _P.of(*coeffs)
-    if f.is_zero:
-        return False
-    v_mult = mu - f.degree
-    if v_mult > 1:
-        return False
-    if f.degree == 0:
-        return True
-    return _gcd(f, f.derivative()).degree == 0
-
-
 # Wronskian-quotient forms on a concrete curve
 
 WRONSKIAN_PAIRS = ("YZ", "XZ", "XY")
-
-# On the curve the three Wronskians differ by partial-derivative factors:
-# W(Y,Z)/F_x = -W(X,Z)/F_y = W(X,Y)/F_z. These cofactors turn equality of
-# two presentations into a polynomial congruence.
-_PAIR_VARIABLE = {"YZ": "x", "XZ": "y", "XY": "z"}
-_PAIR_SIGN = {"YZ": 1, "XZ": -1, "XY": 1}
 
 
 def _homogeneous_degree(t: TriPoly) -> int:
@@ -404,10 +370,6 @@ class WronskianForm:
     pair: str
     pole_free_at_infinity: bool
 
-    def describe(self) -> str:
-        a, b = self.pair
-        return f"({self.numerator!r}) * W({a},{b}) / ({self.denominator!r})"
-
 
 def make_wronskian_form(
     numerator: TriPoly, denominator: TriPoly, pair: str, curve: TriPoly
@@ -435,23 +397,6 @@ def make_wronskian_form(
 
     return WronskianForm(numerator, denominator, pair,
                          clear("x") and clear("y"))
-
-
-def same_form_on_curve(a: WronskianForm, b: WronskianForm, curve: TriPoly) -> bool:
-    """Whether two presentations define the same form on the curve.
-
-    Clearing denominators through the Wronskian cofactors reduces the
-    question to N_a * S_a * D_b - N_b * S_b * D_a being a multiple of
-    the curve, decided by exact reduction.
-    """
-    sa = curve.partial(_PAIR_VARIABLE[a.pair])
-    if _PAIR_SIGN[a.pair] < 0:
-        sa = -sa
-    sb = curve.partial(_PAIR_VARIABLE[b.pair])
-    if _PAIR_SIGN[b.pair] < 0:
-        sb = -sb
-    diff = a.numerator * sa * b.denominator - b.numerator * sb * a.denominator
-    return diff.reduce_x_mod(curve).is_zero
 
 
 # a family of witness curves with many independent regular forms
@@ -504,7 +449,9 @@ def example1_family(m: int, n: int) -> Example1Certificate:
     if n % 2:
         # cheap concrete probe: for odd n the unit slice has the
         # rational point [-1:0:1], which must be smooth
-        assert local_multiplicity(curve, -1, 0) == 1
+        if local_multiplicity(curve, -1, 0) != 1:
+            raise RuntimeError("the point [-1:0:1] of the gap-family curve"
+                               " is not smooth")
     return Example1Certificate(
         m, n, curve, tuple(forms), m * (m - 1) // 2, slice_orders,
         ("components-exceed-basis-degree",),

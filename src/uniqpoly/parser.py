@@ -12,6 +12,8 @@ integer makes a rational literal (there is no division operator).
 Juxtaposition multiplies, so "4X" and "2(X+1)" work. Errors carry the
 byte offset of the offending token and the set of tokens that would
 have been accepted there. Parentheses nest at most MAX_NESTING deep.
+With a degree cap, a power whose degree would exceed the cap is
+rejected before it is expanded.
 """
 
 from __future__ import annotations
@@ -75,10 +77,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, degree_cap: Optional[int] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.degree_cap = degree_cap
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -126,7 +129,12 @@ class _Parser:
             if kind != "int":
                 self.fail(("integer exponent",))
             self.take()
-            base = base ** int(text)
+            k = int(text)
+            # reject before expanding, so a huge exponent fails at once
+            cap = self.degree_cap
+            if cap is not None and base.degree * k > cap:
+                raise DegreeCapError(base.degree * k, cap)
+            base = base ** k
         return base if sign == 1 else -base
 
     def atom(self) -> Poly:
@@ -165,7 +173,7 @@ class _Parser:
 
 def parse_poly(text: str, degree_cap: Optional[int] = None) -> Poly:
     """Parse text to a Poly; ParseError carries the byte offset."""
-    parser = _Parser(text)
+    parser = _Parser(text, degree_cap)
     p = parser.expr()
     kind, _, offset = parser.peek()
     if kind != "end":

@@ -6,7 +6,8 @@ stripped, so the zero polynomial is the empty tuple. Every operation is exact
 
 The resultant uses a subresultant pseudo-remainder sequence over cleared
 integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
-algorithm. The test suite checks the resultant against a Sylvester-determinant
+algorithm, and the cyclotomic polynomial Phi_r comes from exact division of
+X^r - 1. The test suite checks the resultant against a Sylvester-determinant
 oracle.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Q = Fraction
@@ -439,3 +441,17 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
                     mult += 1
                 roots.append((cand, mult))
     return sorted(roots)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(r: int) -> Poly:
+    """Phi_r, by dividing X^r - 1 by the lower cyclotomics."""
+    if r < 1:
+        raise ValueError("index must be positive")
+    if r == 1:
+        return X - 1
+    q = Poly.from_support({r: 1, 0: -1})
+    for d in range(1, r):
+        if r % d == 0:
+            q = q.exact_div(cyclotomic(d))
+    return q

@@ -3,7 +3,7 @@
 Sparse representation: ``terms[(i, j, k)]`` is the coefficient of
 X^i Y^j Z^k, with i + j + k equal across all terms. These carry the
 projective curves cut out by value sharing; only exact operations are
-provided (arithmetic, partials, evaluation, X-directed reduction).
+provided (arithmetic, partials, evaluation, division by powers of Z).
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ class TriPoly:
             acc += c * x**i * y**j * z**k
         return acc
 
-    def deg_x(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(e[0] for e in self.terms)
-
-    def swap_xy(self) -> "TriPoly":
-        return TriPoly({(j, i, k): c for (i, j, k), c in self.terms.items()})
-
     def z_multiplicity(self) -> int:
         """Largest k with Z^k dividing self (0 for the zero form)."""
         if self.is_zero:
@@ -126,28 +118,6 @@ class TriPoly:
         if any(e[2] < k for e in self.terms):
             raise ValueError(f"not divisible by Z^{k}")
         return TriPoly({(i, j, kk - k): c for (i, j, kk), c in self.terms.items()})
-
-    def reduce_x_mod(self, modulus: "TriPoly") -> "TriPoly":
-        """Remainder of X-directed division by a modulus whose leading
-        X-coefficient is a nonzero constant.
-
-        The remainder has X-degree below the modulus and the same total
-        degree as self; self - remainder is a multiple of the modulus.
-        """
-        dm = modulus.deg_x()
-        lead = [(e, c) for e, c in modulus.terms.items() if e[0] == dm]
-        if len(lead) != 1 or lead[0][0][1] != 0 or lead[0][0][2] != 0:
-            raise ValueError("modulus leading X-coefficient is not constant")
-        lc = lead[0][1]
-        cur = self
-        while not cur.is_zero and cur.deg_x() >= dm:
-            dg = cur.deg_x()
-            shift: dict[Exp, Fraction] = {}
-            for (i, j, k), c in cur.terms.items():
-                if i == dg:
-                    shift[(dg - dm, j, k)] = c / lc
-            cur = cur - TriPoly(shift) * modulus
-        return cur
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -121,6 +121,18 @@ def test_critical_structure_zero_value():
     assert cs.has_zero_value
 
 
+def test_non_monic_separation_polynomial_is_an_error(monkeypatch):
+    # a real check, not an assert, so it holds under python -O and a
+    # batch reports the line as internal instead of aborting
+    from uniqpoly import criteria
+
+    interpolate = criteria.lagrange_interpolate
+    monkeypatch.setattr(criteria, "lagrange_interpolate",
+                        lambda pts: 2 * interpolate(pts))
+    with pytest.raises(RuntimeError, match="monic"):
+        critical_structure(X**4 + X + 1)
+
+
 def test_affine_symmetry_orders():
     s = affine_symmetry(X**3 - X)
     assert s is not None and s.order == 2 and s.center == 0
@@ -155,7 +167,7 @@ def test_linear_factor_scan():
 
     scan = linear_factor_scan(index_data(X**4 - 4 * X), "F_c")
     assert scan.applicable and scan.gap == 3
-    assert scan.factors == (LinearFactor(3, 1, None),)  # multiplier zeta_3
+    assert scan.factors == (LinearFactor(3, 1, None),)  # multiplier z, z^3 = 1
     assert linear_factor_scan(index_data(X**4 - 4 * X), "F").factors == ()
 
     for mode in ("F", "F_c"):

@@ -18,7 +18,6 @@ from uniqpoly.curves import (
     scaled_value_curve,
     shared_value_curve,
     singular_census,
-    tangent_cone_is_squarefree,
     verify_curve_identities,
 )
 from uniqpoly.polynomials import Poly, X
@@ -151,14 +150,12 @@ def test_local_probes():
     F = shared_value_curve(p)
     assert local_multiplicity(F, 0, 0) == 2
     assert local_multiplicity(F, 1, 1) == 2
-    assert tangent_cone_is_squarefree(F, 0, 0)
     assert local_multiplicity(F, 2, 3) == 0  # generic point off the curve
 
     # P(0) = 1, P(1) = 2, so c = 1/2 pairs the critical values
     G = scaled_value_curve(p, Q(1, 2))
     assert G.evaluate(0, 1, 1) == 0
     assert local_multiplicity(G, 0, 1) == 3
-    assert tangent_cone_is_squarefree(G, 0, 1)
     # the reverse pair needs c = 2
     G2 = scaled_value_curve(p, 2)
     assert local_multiplicity(G2, 1, 0) == 3
@@ -170,7 +167,6 @@ def test_local_probe_mismatched_pair():
     p = p + 5  # lift so no critical value is zero; P(0) = 5, P(1) = 4
     G = scaled_value_curve(p, Q(5, 4))
     assert local_multiplicity(G, 0, 1) == 2  # min(2, 1) + 1
-    assert not tangent_cone_is_squarefree(G, 0, 1)
 
 
 def test_wronskian_form_weight_check():
@@ -195,28 +191,6 @@ def test_wronskian_form_weight_check():
     den = (x_ - z_) ** 2 * (x_ + z_) ** 2
     w2 = make_wronskian_form(num, den, "YZ", F)
     assert w2.pole_free_at_infinity
-
-
-def test_same_form_cross_pair():
-    from uniqpoly.curves import make_wronskian_form, same_form_on_curve
-
-    F = shared_value_curve(X**3 - 3 * X)
-    z = tri({(0, 0, 1): 1})
-    n_base = z  # any weight-correct seed numerator
-    den = z**4
-
-    a = make_wronskian_form(n_base * F.partial("y"), den, "YZ", F)
-    b = make_wronskian_form(-(n_base * F.partial("x")), den, "XZ", F)
-    assert same_form_on_curve(a, b, F)
-    # flipping the sign breaks the match
-    b_bad = make_wronskian_form(n_base * F.partial("x"), den, "XZ", F)
-    assert not same_form_on_curve(a, b_bad, F)
-
-    # shifting the numerator by a multiple of the curve changes nothing
-    a2 = make_wronskian_form(n_base * F.partial("y") + F, den, "YZ", F)
-    assert same_form_on_curve(a, a2, F)
-    a3 = make_wronskian_form(n_base * F.partial("y") + z**2, den, "YZ", F)
-    assert not same_form_on_curve(a, a3, F)
 
 
 def test_example1_family_counts():
@@ -249,6 +223,15 @@ def test_example1_family_counts():
     }
 
 
+def test_example1_family_smoothness_probe_is_an_error(monkeypatch):
+    from uniqpoly import curves
+
+    monkeypatch.setattr(curves, "local_multiplicity", lambda *args: 2)
+    with pytest.raises(RuntimeError, match="smooth"):
+        curves.example1_family(3, 5)
+    curves.example1_family(3, 6)  # even n has no probe
+
+
 def test_example1_family_order_identities():
     from uniqpoly.curves import example1_family
 
@@ -269,21 +252,3 @@ def test_example1_family_order_identities():
             assert corner["min_form_order"] == (
                 corner["ord_wronskian"] - corner["ord_z"])
             assert corner["min_form_order"] >= 0
-
-
-def test_example1_cross_representation():
-    # on x^n + y^m z^k + z^n = 0 the partial-derivative cofactors tie the
-    # three Wronskian quotients together; the reduction must confirm it
-    from uniqpoly.curves import (
-        example1_family, make_wronskian_form, same_form_on_curve)
-
-    cert = example1_family(3, 6)  # k = 3
-    C = cert.curve
-    n, m, k = 6, 3, 3
-    q = tri({(0, n - 3, 0): 1})  # any monomial of degree n - 3
-    d_yz = tri({(n - 1, 0, 0): n})  # partial in x
-    d_xz = tri({(0, m - 1, k): n - k})  # partial in y
-    a = make_wronskian_form(q, d_yz, "YZ", C)
-    b = make_wronskian_form(-q, d_xz, "XZ", C)
-    assert same_form_on_curve(a, b, C)
-    assert not same_form_on_curve(a, make_wronskian_form(q, d_xz, "XZ", C), C)

@@ -1,11 +1,14 @@
-"""Cyclotomic polynomials and the quotient-ring arithmetic used by witnesses."""
+"""Cyclotomic polynomials and the replay of root-of-unity witnesses."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as Q
 
-from uniqpoly.cyclotomic import CycloNum, cyclotomic, euler_phi, eval_at_cyclo, zeta
-from uniqpoly.polynomials import Poly, X
+import pytest
+
+from uniqpoly.classify import Witness, verify_witness
+from uniqpoly.polynomials import Poly, X, cyclotomic
 
 
 def test_cyclotomic_pins():
@@ -27,37 +30,36 @@ def test_cyclotomic_product_identity():
 
 
 def test_phi_degrees():
+    sympy = pytest.importorskip("sympy")
     for n in range(1, 30):
-        assert cyclotomic(n).degree == euler_phi(n)
+        assert cyclotomic(n).degree == sympy.totient(n)
 
 
-def test_zeta_relations():
-    z3 = zeta(3)
-    assert z3**3 == 1
-    assert z3**2 + z3 + 1 == 0
-    assert (z3**2).as_rational() is None
-    z4 = zeta(4)
-    assert z4 * z4 == -1
-    assert (z4**4).as_rational() == 1
-    # power wraps modulo r
-    assert zeta(5, 7) == zeta(5) ** 2
-
-
-def test_ring_ops_and_rationals():
-    z = zeta(6)
-    a = z + 2
-    b = a * a - 4 * z - 4  # z^2
-    assert b == z * z
-    assert CycloNum.of(6, Q(3, 2)).as_rational() == Q(3, 2)
-    assert (z - z).as_rational() == 0
-
-
-def test_eval_at_cyclo():
-    z3 = zeta(3)
-    assert eval_at_cyclo(X**2 + X + 1, z3).is_zero
-    assert eval_at_cyclo(X**3 - 1, z3).is_zero
-    assert eval_at_cyclo(X**3 + 1, z3).as_rational() == 2
-    p = 2 * X**2 - X + 5
-    z4 = zeta(4)
-    # p(i) = -2 - i + 5 = 3 - i
-    assert eval_at_cyclo(p, z4) == CycloNum.of(4, 3 - X)
+def test_root_of_unity_replay_matches_sympy():
+    # P0(z X) = z^e P0(X) for z of order r holds exactly when Phi_r
+    # divides X^i - X^e for every exponent i of the centered support
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for r in range(2, 13):
+        phi = sympy.cyclotomic_poly(r, x)
+        for e in range(2 * r):
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    support = {e % r + r * rng.randint(0, 5)
+                               for _ in range(rng.randint(1, 4))}
+                else:
+                    support = {rng.randint(0, 40)
+                               for _ in range(rng.randint(1, 4))}
+                center = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                centered = Poly.from_support(
+                    {i: rng.choice((1, -2, Q(3, 5))) for i in support})
+                p = centered.taylor_shift(-center)
+                w = Witness(kind="scaling-with-c", order=r, c_exponent=e,
+                            center=center)
+                want = all(sympy.rem(x**i - x**e, phi, x) == 0
+                           for i in support)
+                assert verify_witness(p, w) == want, (r, e, support)
+                seen[want] += 1
+    assert seen[True] and seen[False]

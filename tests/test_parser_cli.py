@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -91,6 +92,16 @@ def test_degree_cap():
     assert parse_poly("X^64", degree_cap=64).degree == 64
 
 
+def test_degree_cap_checked_before_a_power_expands():
+    with pytest.raises(DegreeCapError) as info:
+        parse_poly("(X^2+1)^40", degree_cap=64)
+    assert info.value.degree == 80 and info.value.cap == 64
+    # an over-cap power is rejected even when later terms would cancel it
+    with pytest.raises(DegreeCapError):
+        parse_poly("X^65 - X^65 + X", degree_cap=64)
+    assert parse_poly("X^65 - X^65 + X") == X
+
+
 def test_nesting_limit():
     assert parse_poly("(" * 50 + "X^4+X+1" + ")" * 50) == X**4 + X + 1
     deep = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
@@ -166,6 +177,16 @@ def test_deep_nesting_exit_two(capsys):
             in rep["error"]["message"])
 
 
+def test_huge_power_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", "X^9999999999999999999")
+    assert time.perf_counter() - start < 1.0
+    rep = json.loads(out)
+    assert code == 2
+    assert rep["error"]["message"] == (
+        "degree 9999999999999999999 exceeds the cap 64")
+
+
 def test_classify_out_of_scope_exit_three(capsys):
     code, out, _ = run_cli(capsys, "classify", "2X^5-5X^4+4X^3-X^2")
     rep = json.loads(out)
@@ -179,6 +200,14 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "corollary", "0", "4", "9", "1", "1")[0] == 1
+
+
+def test_flags_each_command_ignored_are_rejected(capsys):
+    assert run_cli(capsys, "forms", "shared", "2,1,1",
+                   "--degree-cap", "8")[0] == 1
+    assert run_cli(capsys, "selftest", "--fast", "--degree-cap", "8")[0] == 1
+    assert run_cli(capsys, "corollary", "0", "5", "2", "1", "1",
+                   "--seed", "3")[0] == 1
 
 
 def test_audit_failure_exit_four(capsys, monkeypatch):
@@ -362,6 +391,15 @@ def test_corollary_subcommand(capsys):
         "up_rational": True, "sup_rational": False,
         "up_meromorphic": False, "sup_meromorphic": False,
     }
+
+
+def test_corollary_honours_the_degree_cap(capsys):
+    code, out, err = run_cli(capsys, "corollary", "0", "5", "2", "1", "1",
+                             "--degree-cap", "4")
+    assert code == 1 and out == ""
+    assert "degree 5 exceeds the cap 4" in err
+    code, out, err = run_cli(capsys, "corollary", "0", "70", "3", "1", "1")
+    assert code == 1 and "degree 70 exceeds the cap 64" in err
 
 
 def test_witness_subcommand(capsys):
