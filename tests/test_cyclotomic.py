@@ -35,6 +35,61 @@ def test_phi_degrees():
         assert cyclotomic(n).degree == sympy.totient(n)
 
 
+def _replays(p: Poly, r: int, e: int, center=Q(0)) -> bool:
+    return verify_witness(p, Witness(kind="scaling-with-c", order=r,
+                                     c_exponent=e, center=center))
+
+
+def test_zeta_relations():
+    # a primitive r-th root of unity z is X modulo Phi_r
+    phi3, phi4, phi5 = cyclotomic(3), cyclotomic(4), cyclotomic(5)
+    assert X**3 % phi3 == Poly.of(1)
+    assert (X**2 + X + 1) % phi3 == Poly.zero()
+    assert (X**2 % phi3).degree == 1  # z3^2 is not rational
+    assert X * X % phi4 == Poly.of(-1)
+    assert X**4 % phi4 == Poly.of(1)
+    # power wraps modulo r, in the ring and in the replay
+    assert X**7 % phi5 == X**2 % phi5
+    assert _replays(X**7, 5, 7) and _replays(X**7, 5, 2)
+    # z^i = z^e exactly when i = e (mod r): the replay's congruence
+    for r in range(2, 9):
+        phi = cyclotomic(r)
+        for i in range(3 * r):
+            for e in range(3 * r):
+                same = X**i % phi == X**e % phi
+                assert same == ((i - e) % r == 0), (r, i, e)
+                assert _replays(X**i, r, e) == same, (r, i, e)
+
+
+def test_ring_ops_and_rationals():
+    phi6 = cyclotomic(6)
+    a = X + 2
+    b = a * a - 4 * X - 4  # z^2
+    assert b % phi6 == X * X % phi6
+    assert Poly.of(Q(3, 2)) % phi6 == Poly.of(Q(3, 2))
+    assert (X - X) % phi6 == Poly.zero()
+    # a rational center shifts the support before the congruence is read
+    center = Q(3, 2)
+    p = ((X**6 + Q(5, 7) * X**3 + 1)).taylor_shift(-center)
+    assert _replays(p, 3, 0, center)
+    assert not _replays(p, 3, 0)
+    assert not _replays(p, 6, 0, center)
+
+
+def test_eval_at_cyclo():
+    phi3, phi4 = cyclotomic(3), cyclotomic(4)
+    assert (X**2 + X + 1) % phi3 == Poly.zero()
+    assert (X**3 - 1) % phi3 == Poly.zero()
+    assert (X**3 + 1) % phi3 == Poly.of(2)
+    p = 2 * X**2 - X + 5
+    # p(i) = -2 - i + 5 = 3 - i
+    assert p % phi4 == 3 - X
+    # P(z X) = z^e P(X): X^3 - 1 is fixed by z3, X^3 + X is odd
+    assert _replays(X**3 - 1, 3, 0)
+    assert not _replays(X**3 + X, 3, 0) and not _replays(X**3 + X, 3, 1)
+    assert _replays(X**3 + X, 2, 1) and not _replays(X**3 + X, 2, 0)
+
+
 def test_root_of_unity_replay_matches_sympy():
     # P0(z X) = z^e P0(X) for z of order r holds exactly when Phi_r
     # divides X^i - X^e for every exponent i of the centered support
