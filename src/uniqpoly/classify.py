@@ -54,7 +54,14 @@ from .curves import (
     genus_ordinary,
     singular_census,
 )
-from .polynomials import Poly, cyclotomic, poly_gcd, radical, rational_roots
+from .polynomials import (
+    Poly,
+    cyclotomic,
+    gcd_degree_mod_p,
+    poly_gcd,
+    radical,
+    rational_roots,
+)
 
 Q = Fraction
 
@@ -626,7 +633,9 @@ def _constraint_gcd(p: Poly) -> Poly:
 
     The top two coefficients force c = beta^n and gamma = s (1 - beta)
     with s the centering shift; what is left is one polynomial equation
-    in beta per remaining coefficient.
+    in beta per remaining coefficient. Every equation vanishes at
+    beta = 1, the identity map, so the gcd is zero or divisible by
+    beta - 1, and the loop stops as soon as it is beta - 1.
     """
     n = p.degree
     if n < 1:
@@ -647,8 +656,12 @@ def _constraint_gcd(p: Poly) -> Poly:
             e = e + ak * math.comb(k, j) * powers[k - j]
         e = e * Poly.from_support({j: 1})
         e = e - Poly.from_support({n: p.coeff(j)})
+        # beta - 1 divides both, so a prime bounding the gcd's degree by
+        # 1 certifies that it is beta - 1
+        if not g.is_zero and gcd_degree_mod_p(g, e) == 1:
+            return Poly.of(-1, 1)
         g = poly_gcd(g, e)
-        if not g.is_zero and g.degree == 0:
+        if g.degree == 1:
             return g
     return g
 

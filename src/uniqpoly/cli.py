@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -398,6 +399,10 @@ def _run_one_guarded(
         return EXIT_PARSE, _error_report(command, EXIT_PARSE, str(exc))
     except RuntimeError as exc:
         return EXIT_INTERNAL, _error_report(command, EXIT_INTERNAL, str(exc))
+    except Exception as exc:  # a defect on one input must not end a batch
+        sys.stderr.write(traceback.format_exc())
+        return EXIT_INTERNAL, _error_report(
+            command, EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")
 
 
 def _batch(runner, args, command: str) -> int:

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .polynomials import Poly, lagrange_interpolate, poly_gcd, radical, resultant, squarefree_parts
+from .polynomials import (
+    Poly,
+    gcd_degree_mod_p,
+    lagrange_interpolate,
+    poly_gcd,
+    radical,
+    resultant,
+    squarefree_parts,
+)
 
 Q = Fraction
 
@@ -147,7 +155,11 @@ def critical_structure(p: Poly) -> CriticalStructure:
     sep = lagrange_interpolate(pts)
     if sep.degree != l or sep.lc != 1:
         raise RuntimeError(f"separation polynomial must be monic of degree {l}")
-    separated = poly_gcd(sep, sep.derivative()).degree == 0
+    # sep is monic, so squarefree modulo a prime makes it squarefree over
+    # Q; the exact gcd runs only when no prime certifies that
+    dsep = sep.derivative()
+    separated = (gcd_degree_mod_p(sep, dsep) == 0
+                 or poly_gcd(sep, dsep).degree == 0)
     return CriticalStructure(
         derivative=dp,
         radical=rad,

@@ -6,9 +6,11 @@ stripped, so the zero polynomial is the empty tuple. Every operation is exact
 
 The resultant uses a subresultant pseudo-remainder sequence over cleared
 integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
-algorithm, and the cyclotomic polynomial Phi_r comes from exact division of
-X^r - 1. The test suite checks the resultant against a Sylvester-determinant
-oracle.
+algorithm, interpolation uses Newton's divided differences, and the
+cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Euclid
+modulo a large prime bounds the degree of a gcd from above, which lets
+callers certify a gcd without running the exact one. The test suite checks
+the resultant against a Sylvester-determinant oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Q = Fraction
 
@@ -285,6 +287,50 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return Poly.of(*A).monic()
 
 
+# primes just below 2^61 for the modular gcd-degree bound
+GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+
+def gcd_degree_mod_p(f: Poly, g: Poly) -> Optional[int]:
+    """Upper bound on deg gcd(f, g) over Q, from Euclid modulo a prime.
+
+    Answers with the first prime p of ``GCD_PRIMES`` that divides no
+    denominator of f or g and not the numerator of lc(f). For such p the
+    monic gcd over Q of f is p-integral (Gauss's lemma over the integers
+    localized at p), so it reduces to a divisor of gcd(f mod p, g mod p)
+    of the same degree, and the degree returned is at least the one over
+    Q. Returns None when no prime qualifies. f must be nonzero.
+    """
+    for p in GCD_PRIMES:
+        if f.lc.numerator % p == 0 or any(
+                c.denominator % p == 0 for c in f.coeffs + g.coeffs):
+            continue
+        a, b = _reduce_mod(f, p), _reduce_mod(g, p)
+        while b:
+            a, b = b, _rem_mod(a, b, p)
+        return _ideg(a)
+    return None
+
+
+def _reduce_mod(f: Poly, p: int) -> list[int]:
+    return _istrip([c.numerator * pow(c.denominator, -1, p) % p
+                    for c in f.coeffs])
+
+
+def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Remainder of a under division by a nonzero b, in F_p."""
+    inv = pow(b[-1], -1, p)
+    db = _ideg(b)
+    rem = list(a)
+    while _ideg(rem) >= db:
+        lead = rem[-1] * inv % p
+        shift = _ideg(rem) - db
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - lead * c) % p
+        _istrip(rem)
+    return rem
+
+
 def resultant(p: Poly, q: Poly) -> Fraction:
     """Res(p, q) over Q.
 
@@ -372,24 +418,28 @@ def radical(p: Poly) -> Poly:
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
+    """Unique polynomial of degree < len(points) through the given points.
+
+    Newton's divided differences give the interpolant in the Newton basis,
+    and Horner's rule in that basis expands it: O(l^2) field operations
+    for l points.
+    """
     xs = [Q(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    acc = Poly(())
-    for i, (_, y) in enumerate(points):
-        y = Q(y)
-        if y == 0:
-            continue
-        basis = Poly.of(1)
-        denom = Q(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Poly.of(-xj, 1)
-            denom *= xs[i] - xj
-        acc = acc + basis * (y / denom)
-    return acc
+    dd = [Q(y) for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    acc: list[Fraction] = []
+    for k in reversed(range(len(xs))):
+        # acc := acc * (X - xs[k]) + dd[k]
+        nxt = [Q(0)] + acc
+        for i, c in enumerate(acc):
+            nxt[i] -= xs[k] * c
+        nxt[0] += dd[k]
+        acc = nxt
+    return Poly(_strip(acc))
 
 
 def _divisors(n: int) -> Iterator[int]:

@@ -210,6 +210,15 @@ def test_flags_each_command_ignored_are_rejected(capsys):
                    "--seed", "3")[0] == 1
 
 
+def test_leading_minus_arguments_after_double_dash(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--", "-X^2+1")
+    assert code == 0 and json.loads(out)["input"]["text"] == "-X^2+1"
+    code, out, _ = run_cli(capsys, "corollary", "--", "0", "5", "2", "-1/2", "3")
+    assert code == 0 and json.loads(out)["parameters"]["a"] == "-1/2"
+    code, out, _ = run_cli(capsys, "curve", "--c=-1/3", "--", "X^4+X+1")
+    assert code == 0 and json.loads(out)["scaled_curve"]["c"] == "-1/3"
+
+
 def test_audit_failure_exit_four(capsys, monkeypatch):
     # force the audit to disagree; the report must still be printed
     def broken_audit(p, verdict=None):
@@ -283,6 +292,28 @@ def test_batch_writes_each_line_before_the_next(monkeypatch, tmp_path):
     assert cli.main(["classify", "--batch", str(batch)]) == 2
     assert written_before == [0, 1, 2]
     assert len(out.getvalue().splitlines()) == 3
+
+
+def test_batch_reports_any_exception_on_its_line(capsys, monkeypatch, tmp_path):
+    batch = tmp_path / "polys.txt"
+    batch.write_text("X^4+X+1\nX^5+X^2\nX^3-3X\n")
+    run = cli._run_classify
+
+    def fails_on_the_middle_line(text, args):
+        if text == "X^5+X^2":
+            raise ZeroDivisionError("forced")
+        return run(text, args)
+
+    monkeypatch.setattr(cli, "_run_classify", fails_on_the_middle_line)
+    code, out, err = run_cli(capsys, "classify", "--batch", str(batch))
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 4
+    assert "ZeroDivisionError: forced" in err  # the traceback
+    assert len(lines) == 3
+    assert lines[0]["input"]["text"] == "X^4+X+1"
+    assert lines[1]["error"] == {"kind": "internal",
+                                 "message": "ZeroDivisionError: forced"}
+    assert lines[2]["input"]["text"] == "X^3-3X"
 
 
 def test_batch_rejects_text_mode(capsys, tmp_path):
