@@ -228,9 +228,6 @@ class PointModel:
     x_scale: int = 0  # ord(x_i) = x_scale * g at a crossing
     y_scale: int = 0  # ord(y_partner) = y_scale * g
 
-    def has_unknowns(self) -> bool:
-        return self.kind == "crossing"
-
     def order_of(self, atom: Atom, w: str | None = None) -> OrderExpr:
         if atom == ("w",):  # internal: the Wronskian W(w)
             return self._wronskian_order(w)
@@ -463,14 +460,6 @@ class HyperbolicityVerdict:
     reason: str | None = None
     needs_coefficient_check: bool = False
 
-    @property
-    def is_algebraic(self) -> bool:
-        return self.verdict in ("algebraic", "brody")
-
-    @property
-    def is_brody(self) -> bool:
-        return self.verdict == "brody"
-
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -489,6 +478,21 @@ class RouteError(RuntimeError):
 
 def _sorted_indices(m: tuple[int, ...]) -> list[int]:
     return sorted(range(len(m)), key=lambda i: (-m[i], i))
+
+
+def _pair(config, ledger, fa, fb, kind, multipliers, asm):
+    """Certify a pencil pair: (forms, independence, assumptions) or None.
+
+    Each multiplier is a tuple of atoms, named by their product.
+    """
+    va = check_form(config, ledger, fa, "pencil-basis-1")
+    if va.regular != "yes":
+        return None
+    vb = check_form(config, ledger, fb, "pencil-basis-2")
+    if vb.regular != "yes":
+        return None
+    names = tuple("*".join(_atom_str(a) for a in mult) for mult in multipliers)
+    return (va, vb), IndependenceCertificate(kind, names, asm), asm
 
 
 # ---------------------------------------------------------------------------
@@ -529,18 +533,14 @@ def _shared_verdict(config: Configuration) -> HyperbolicityVerdict:
     brody_fallback = (l == 3 and ms[0] >= 2 and ms[1] + ms[2] == 2) \
         or (l == 2 and ms[1] == 2 and ms[0] >= 3)
     if brody_main:
-        w1 = check_form(config, ledger, omega(i1), "pencil-basis-1")
-        w2 = check_form(config, ledger, omega(i2), "pencil-basis-2")
-        if w1.regular != "yes" or w2.regular != "yes":
-            raise RouteError(f"split diagonal pair failed on {config}")
         # a combination a*x_i1 + b*x_i2 is a line of the pencil through
         # the vertical direction (or Z itself); no such line ever divides
         # the shared curve, whose fibers over X = const are nonconstant
-        ind = IndependenceCertificate(
-            "linear-span", (_atom_str(atom_x(i1)), _atom_str(atom_x(i2))),
-            (ASSUME_SEPARATED,))
-        return HyperbolicityVerdict("brody", "split-diagonal-pair",
-                                    (w1, w2), ind, (ASSUME_SEPARATED,))
+        got = _pair(config, ledger, omega(i1), omega(i2), "linear-span",
+                    ((atom_x(i1),), (atom_x(i2),)), (ASSUME_SEPARATED,))
+        if not got:
+            raise RouteError(f"split diagonal pair failed on {config}")
+        return HyperbolicityVerdict("brody", "split-diagonal-pair", *got)
     if brody_fallback:
         w1 = check_form(config, ledger, omega(i1), "pencil-basis-1")
         if w1.regular != "yes":
@@ -611,50 +611,28 @@ def scaled_statement_grants(config: Configuration) -> tuple[bool, bool]:
     return alg, brody
 
 
-def _mismatch_pair(config, ledger, i, j, brody):
-    """Forms anchored at a single crossing whose two contacts differ a lot.
+def _mismatch_orientation(m, i, j):
+    """Orient forms anchored at a crossing whose two contacts differ a lot.
 
     With s = ord(y_j) and t = ord(x_i) locked to (m_i+1) : (m_j+1), a
     large multiplicity gap turns y_j-powers in the numerator into more
-    vanishing than the x_i-denominator consumes.
+    vanishing than the x_i-denominator consumes.  Returns the Wronskian
+    pair, the numerator line, the denominator line and the larger
+    multiplicity.
     """
-    m = config.mults
     if m[i] < m[j]:
         # mirror orientation: swap the roles of the two coordinates
-        wpair, num_line, den_line, big, small = "XZ", atom_x(i), atom_y(j), m[j], m[i]
-    else:
-        wpair, num_line, den_line, big, small = "YZ", atom_y(j), atom_x(i), m[i], m[j]
-    if brody:
-        fa = form(wpair, {COORD_X: 1, num_line: big - 3}, {den_line: big})
-        fb = form(wpair, {COORD_Y: 1, num_line: big - 3}, {den_line: big})
-        va = check_form(config, ledger, fa, "pencil-basis-1")
-        vb = check_form(config, ledger, fb, "pencil-basis-2")
-        if va.regular != "yes" or vb.regular != "yes":
-            return None
-        ind = IndependenceCertificate("linear-span", ("X", "Y"),
-                                      (ASSUME_SEPARATED, ASSUME_NO_LINEAR))
-        return (va, vb), ind
-    fa = form(wpair, {num_line: big - 2}, {den_line: big})
-    va = check_form(config, ledger, fa, "single")
-    return ((va,), None) if va.regular == "yes" else None
-
-
-def _verified(config, ledger, specs_classes):
-    out = []
-    for spec, cls in specs_classes:
-        v = check_form(config, ledger, spec, cls)
-        if v.regular != "yes":
-            return None
-        out.append(v)
-    return tuple(out)
+        return "XZ", atom_x(i), atom_y(j), m[j]
+    return "YZ", atom_y(j), atom_x(i), m[i]
 
 
 def _scaled_brody_routes(config, ledger):
-    """Yield (route-slug, builder) pairs in dispatch order."""
+    """Return (route-slug, builder) pairs in dispatch order."""
     m, l, tau, dom, unpaired, all_paired, order = _scaled_stats(config)
     ms = [m[i] for i in order]
     simple_unpaired = [i for i in unpaired if m[i] == 1]
     base = (ASSUME_SEPARATED, ASSUME_NO_LINEAR)
+    conic = base + (ASSUME_NO_CONIC,)
 
     def unpaired_deep_pair():
         for u in unpaired:
@@ -662,11 +640,10 @@ def _scaled_brody_routes(config, ledger):
                 # x_u^(m_u - 3) cancelled against the x_u^(m_u) downstairs
                 fa = form("YZ", {COORD_X: 1}, {atom_x(u): 3})
                 fb = form("YZ", {COORD_Y: 1}, {atom_x(u): 3})
-                vs = _verified(config, ledger,
-                               [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-                if vs:
-                    ind = IndependenceCertificate("linear-span", ("X", "Y"), base)
-                    return vs, ind, base
+                got = _pair(config, ledger, fa, fb, "linear-span",
+                            ((COORD_X,), (COORD_Y,)), base)
+                if got:
+                    return got
         return None
 
     def unpaired_double_with_partner():
@@ -680,16 +657,14 @@ def _scaled_brody_routes(config, ledger):
             fa = form("YZ", {}, {atom_x(u): 2})
             if k in unpaired:
                 fb = form("YZ", {}, {atom_x(u): 1, atom_x(k): 1})
-                mult2 = _atom_str(atom_x(u))
+                mult2 = atom_x(u)
             else:
                 fb = form("YZ", {atom_y(tau[k]): 1}, {atom_x(u): 2, atom_x(k): 1})
-                mult2 = _atom_str(atom_y(tau[k]))
-            vs = _verified(config, ledger,
-                           [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span", (_atom_str(atom_x(k)), mult2), base)
-                return vs, ind, base
+                mult2 = atom_y(tau[k])
+            got = _pair(config, ledger, fa, fb, "linear-span",
+                        ((atom_x(k),), (mult2,)), base)
+            if got:
+                return got
         return None
 
     def two_unpaired_sum_three():
@@ -698,13 +673,10 @@ def _scaled_brody_routes(config, ledger):
                 if u != v and m[u] == 2 and m[v] == 1:
                     fa = form("YZ", {}, {atom_x(u): 2})
                     fb = form("YZ", {}, {atom_x(u): 1, atom_x(v): 1})
-                    vs = _verified(config, ledger,
-                                   [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-                    if vs:
-                        ind = IndependenceCertificate(
-                            "linear-span",
-                            (_atom_str(atom_x(v)), _atom_str(atom_x(u))), base)
-                        return vs, ind, base
+                    got = _pair(config, ledger, fa, fb, "linear-span",
+                                ((atom_x(v),), (atom_x(u),)), base)
+                    if got:
+                        return got
         return None
 
     def two_unpaired_simple():
@@ -716,26 +688,24 @@ def _scaled_brody_routes(config, ledger):
         fa = form("YZ", {}, {atom_x(u): 1, atom_x(v): 1})
         if t in unpaired:
             fb = form("YZ", {}, {atom_x(u): 1, atom_x(t): 1})
-            mult2 = _atom_str(atom_x(v))
+            mult2 = atom_x(v)
         else:
             fb = form("YZ", {atom_y(tau[t]): 1},
                       {atom_x(u): 1, atom_x(v): 1, atom_x(t): 1})
-            mult2 = _atom_str(atom_y(tau[t]))
-        vs = _verified(config, ledger,
-                       [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-        if vs:
-            ind = IndependenceCertificate(
-                "linear-span", (_atom_str(atom_x(t)), mult2), base)
-            return vs, ind, base
-        return None
+            mult2 = atom_y(tau[t])
+        return _pair(config, ledger, fa, fb, "linear-span",
+                     ((atom_x(t),), (mult2,)), base)
 
     def paired_mismatch_wide():
         for i, j in config.pairing:
             if abs(m[i] - m[j]) >= 3:
-                got = _mismatch_pair(config, ledger, i, j, brody=True)
+                w, num_line, den_line, big = _mismatch_orientation(m, i, j)
+                fa = form(w, {COORD_X: 1, num_line: big - 3}, {den_line: big})
+                fb = form(w, {COORD_Y: 1, num_line: big - 3}, {den_line: big})
+                got = _pair(config, ledger, fa, fb, "linear-span",
+                            ((COORD_X,), (COORD_Y,)), base)
                 if got:
-                    vs, ind = got
-                    return vs, ind, base
+                    return got
         return None
 
     def top_pair_family():
@@ -749,47 +719,25 @@ def _scaled_brody_routes(config, ledger):
         w1 = form("YZ", {link: m1 + m2 - 2}, {atom_x(i1): m1, atom_x(i2): m2})
         if m2 >= 3:
             w2 = form("YZ", {link: m1 + m2 - 3}, {atom_x(i1): m1 - 1, atom_x(i2): m2})
-            vs = _verified(config, ledger,
-                           [(w1, "pencil-basis-1"), (w2, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span", (_atom_str(link), _atom_str(atom_x(i1))), base)
-                return vs, ind, base
-            return None
+            return _pair(config, ledger, w1, w2, "linear-span",
+                         ((link,), (atom_x(i1),)), base)
         if 3 <= m1 <= 4:
             w2 = form("YZ", {link: m1 - 1}, {atom_x(i1): m1, atom_x(i2): 1})
-            vs = _verified(config, ledger,
-                           [(w1, "pencil-basis-1"), (w2, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span", (_atom_str(link), _atom_str(atom_x(i2))), base)
-                return vs, ind, base
-            return None
+            return _pair(config, ledger, w1, w2, "linear-span",
+                         ((link,), (atom_x(i2),)), base)
         if m1 == 2 and l >= 3:
             third_paired = [k for k in dom if k not in (i1, i2)]
             if third_paired:
                 k = third_paired[0]
                 w2 = form("YZ", {link: 1, atom_link(i2, k): 1, atom_link(i1, k): 1},
                           {atom_x(i1): 2, atom_x(i2): 2, atom_x(k): 1})
-                vs = _verified(config, ledger,
-                               [(w1, "pencil-basis-1"), (w2, "pencil-basis-2")])
-                if vs:
-                    ind = IndependenceCertificate(
-                        "conic-exclusion",
-                        (f"{_atom_str(link)}*{_atom_str(atom_x(k))}",
-                         f"{_atom_str(atom_link(i2, k))}*{_atom_str(atom_link(i1, k))}"),
-                        base + (ASSUME_NO_CONIC,))
-                    return vs, ind, base + (ASSUME_NO_CONIC,)
-                return None
+                return _pair(config, ledger, w1, w2, "conic-exclusion",
+                             ((link, atom_x(k)), (atom_link(i2, k), atom_link(i1, k))),
+                             conic)
             u = next(k for k in range(l) if k not in (i1, i2))
             w2 = form("YZ", {link: 2}, {atom_x(i1): 2, atom_x(i2): 1, atom_x(u): 1})
-            vs = _verified(config, ledger,
-                           [(w1, "pencil-basis-1"), (w2, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span",
-                    (_atom_str(atom_x(u)), _atom_str(atom_x(i2))), base)
-                return vs, ind, base
+            return _pair(config, ledger, w1, w2, "linear-span",
+                         ((atom_x(u),), (atom_x(i2),)), base)
         return None
 
     def deep_anchor_family():
@@ -805,14 +753,8 @@ def _scaled_brody_routes(config, ledger):
             i = cands[0]
             fa = form("YZ", {}, {atom_x(i1): 2})
             fb = form("YZ", {atom_y(tau[i]): 1}, {atom_x(i1): 2, atom_x(i): 1})
-            vs = _verified(config, ledger,
-                           [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span",
-                    (_atom_str(atom_x(i)), _atom_str(atom_y(tau[i]))), base)
-                return vs, ind, base
-            return None
+            return _pair(config, ledger, fa, fb, "linear-span",
+                         ((atom_x(i),), (atom_y(tau[i]),)), base)
         if m[i1] not in (2, 3):
             return None  # wider gaps went through the mismatch route
         others_unpaired = [k for k in unpaired if k != i1]
@@ -820,14 +762,8 @@ def _scaled_brody_routes(config, ledger):
             u = others_unpaired[0]
             fa = form("YZ", {}, {atom_x(i1): 1, atom_x(u): 1})
             fb = form("YZ", {atom_y(tau[i1]): 1}, {atom_x(i1): 2, atom_x(u): 1})
-            vs = _verified(config, ledger,
-                           [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "linear-span",
-                    (_atom_str(atom_x(i1)), _atom_str(atom_y(tau[i1]))), base)
-                return vs, ind, base
-            return None
+            return _pair(config, ledger, fa, fb, "linear-span",
+                         ((atom_x(i1),), (atom_y(tau[i1]),)), base)
         # everything paired: anchor a connector at the deep crossing
         cands = [i for i in dom if i != i1 and tau[i] != i1]
         if not cands:
@@ -837,16 +773,9 @@ def _scaled_brody_routes(config, ledger):
         fa = form("YZ", {atom_link(i1, i2): 1}, {atom_x(i1): 2, atom_x(i2): 1})
         fb = form("YZ", {atom_link(i1, i3): 1, atom_link(i2, i3): 1},
                   {atom_x(i1): 2, atom_x(i2): 1, atom_x(i3): 1})
-        vs = _verified(config, ledger,
-                       [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-        if vs:
-            ind = IndependenceCertificate(
-                "conic-exclusion",
-                (f"{_atom_str(atom_link(i1, i2))}*{_atom_str(atom_x(i3))}",
-                 f"{_atom_str(atom_link(i1, i3))}*{_atom_str(atom_link(i2, i3))}"),
-                base + (ASSUME_NO_CONIC,))
-            return vs, ind, base + (ASSUME_NO_CONIC,)
-        return None
+        return _pair(config, ledger, fa, fb, "conic-exclusion",
+                     ((atom_link(i1, i2), atom_x(i3)),
+                      (atom_link(i1, i3), atom_link(i2, i3))), conic)
 
     def all_ones_family():
         if ms[0] != 1 or l < 4:
@@ -858,31 +787,18 @@ def _scaled_brody_routes(config, ledger):
                       {atom_x(d1): 1, atom_x(d2): 1, atom_x(u): 1})
             fb = form("YZ", {atom_link(d1, d3): 1},
                       {atom_x(d1): 1, atom_x(d3): 1, atom_x(u): 1})
-            vs = _verified(config, ledger,
-                           [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-            if vs:
-                ind = IndependenceCertificate(
-                    "conic-exclusion",
-                    (f"{_atom_str(atom_link(d1, d2))}*{_atom_str(atom_x(d3))}",
-                     f"{_atom_str(atom_link(d1, d3))}*{_atom_str(atom_x(d2))}"),
-                    base + (ASSUME_NO_CONIC,))
-                return vs, ind, base + (ASSUME_NO_CONIC,)
-            return None
+            return _pair(config, ledger, fa, fb, "conic-exclusion",
+                         ((atom_link(d1, d2), atom_x(d3)),
+                          (atom_link(d1, d3), atom_x(d2))), conic)
         if all_paired:
             d1, d2, d3, d4 = sorted(dom)[:4]
             den = {atom_x(d1): 1, atom_x(d2): 1, atom_x(d3): 1, atom_x(d4): 1}
             fa = form("YZ", {atom_link(d1, d2): 1, atom_link(d3, d4): 1}, den)
             fb = form("YZ", {atom_link(d1, d3): 1, atom_link(d2, d4): 1}, den)
-            vs = _verified(config, ledger,
-                           [(fa, "pencil-basis-1"), (fb, "pencil-basis-2")])
-            if vs:
-                asm = base + (ASSUME_NO_CONIC, ASSUME_LINES_DISTINCT)
-                ind = IndependenceCertificate(
-                    "conic-exclusion",
-                    (f"{_atom_str(atom_link(d1, d2))}*{_atom_str(atom_link(d3, d4))}",
-                     f"{_atom_str(atom_link(d1, d3))}*{_atom_str(atom_link(d2, d4))}"),
-                    asm)
-                return vs, ind, asm
+            return _pair(config, ledger, fa, fb, "conic-exclusion",
+                         ((atom_link(d1, d2), atom_link(d3, d4)),
+                          (atom_link(d1, d3), atom_link(d2, d4))),
+                         conic + (ASSUME_LINES_DISTINCT,))
         return None
 
     return [
@@ -898,7 +814,7 @@ def _scaled_brody_routes(config, ledger):
 
 
 def _scaled_alg_routes(config, ledger):
-    m, l, tau, dom, unpaired, all_paired, order = _scaled_stats(config)
+    m, _, _, dom, unpaired, _, order = _scaled_stats(config)
     ms = [m[i] for i in order]
     simple_unpaired = [i for i in unpaired if m[i] == 1]
     base = (ASSUME_SEPARATED, ASSUME_NO_LINEAR)
@@ -922,9 +838,10 @@ def _scaled_alg_routes(config, ledger):
     def paired_mismatch():
         for i, j in config.pairing:
             if abs(m[i] - m[j]) >= 2:
-                got = _mismatch_pair(config, ledger, i, j, brody=False)
+                w, num_line, den_line, big = _mismatch_orientation(m, i, j)
+                got = single(form(w, {num_line: big - 2}, {den_line: big}))
                 if got:
-                    return got[0], None, base
+                    return got
         return None
 
     def top_pair_connector_power():
@@ -935,35 +852,12 @@ def _scaled_alg_routes(config, ledger):
                                {atom_x(i1): m[i1], atom_x(i2): m[i2]}))
         return None
 
-    def deep_anchor_alg():
-        if ms[1] != 1 or l < 3 or ms[0] < 2:
-            return None
-        i1 = order[0]
-        if i1 not in dom:
-            return None
-        others_unpaired = [k for k in unpaired if k != i1]
-        if others_unpaired and m[i1] == 2:
-            return single(form("YZ", {}, {atom_x(i1): 1, atom_x(others_unpaired[0]): 1}))
-        if all_paired and m[i1] in (2, 3):
-            cands = [i for i in dom if i != i1 and tau[i] != i1]
-            if cands:
-                return single(form("YZ", {atom_link(i1, cands[0]): 1},
-                                   {atom_x(i1): 2, atom_x(cands[0]): 1}))
-        return None
-
     def all_ones_alg():
-        if ms[0] != 1:
-            return None
-        if len(unpaired) == 1 and len(dom) >= 2:
+        if ms[0] == 1 and len(unpaired) == 1 and len(dom) >= 2:
             u = unpaired[0]
             d1, d2 = sorted(dom)[:2]
             return single(form("YZ", {atom_link(d1, d2): 1},
                                {atom_x(d1): 1, atom_x(d2): 1, atom_x(u): 1}))
-        if all_paired and l >= 4:
-            d1, d2, d3, d4 = sorted(dom)[:4]
-            return single(form("YZ", {atom_link(d1, d2): 1, atom_link(d3, d4): 1},
-                               {atom_x(d1): 1, atom_x(d2): 1,
-                                atom_x(d3): 1, atom_x(d4): 1}))
         return None
 
     return [
@@ -971,7 +865,6 @@ def _scaled_alg_routes(config, ledger):
         ("two-unpaired-simple-form", two_unpaired_simple_form),
         ("paired-mismatch", paired_mismatch),
         ("top-pair-connector-power", top_pair_connector_power),
-        ("deep-anchor-form", deep_anchor_alg),
         ("all-simple-connector-form", all_ones_alg),
     ]
 

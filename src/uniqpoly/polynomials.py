@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 Q = Fraction
 
@@ -42,10 +42,6 @@ class Poly:
     def of(*coeffs) -> "Poly":
         """Build from ascending coefficients, constant term first."""
         return Poly(_strip([Q(c) for c in coeffs]))
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable) -> "Poly":
-        return Poly.of(*coeffs)
 
     @staticmethod
     def from_support(terms: dict[int, Fraction | int]) -> "Poly":

@@ -312,6 +312,18 @@ def test_audit_builds_constraint_gcd_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_audit_replays_a_shared_witness_once(monkeypatch):
+    # both meromorphic slots of X^4 + X + 1 hold one paper-exception
+    # witness; classify and its single replay each need the structure once
+    calls = _count_calls(monkeypatch, classify_mod, "critical_structure")
+    p = X**4 + X + 1
+    v = classify(p)
+    assert v.witnesses["up_meromorphic"] is v.witnesses["sup_meromorphic"]
+    rep = consistency_audit(p, v)
+    assert rep["ok"], rep["failures"]
+    assert len(calls) <= 2
+
+
 def test_trace_is_json_friendly():
     import json
     v = classify(X**4 - 4 * X)

@@ -28,7 +28,7 @@ def test_interpolant_hits_every_node_and_agrees_with_sympy(points):
         [(sympy.Rational(x.numerator, x.denominator),
           sympy.Rational(y.numerator, y.denominator)) for x, y in points], t)
     coeffs = sympy.Poly(want, t, domain="QQ").all_coeffs()[::-1]
-    assert f == Poly.from_coeffs(Q(int(c.p), int(c.q)) for c in coeffs)
+    assert f == Poly.of(*(Q(int(c.p), int(c.q)) for c in coeffs))
 
 
 def test_interpolation_pins():

@@ -34,12 +34,12 @@ T = sympy.Symbol("t")
 
 def _dense(rng: random.Random, degree: int) -> Poly:
     cs = [Q(rng.randint(-9, 9)) for _ in range(degree)]
-    return Poly.from_coeffs(cs + [Q(rng.choice([-1, 1]) * rng.randint(1, 5))])
+    return Poly.of(*cs, Q(rng.choice([-1, 1]) * rng.randint(1, 5)))
 
 
 def _rational(rng: random.Random, degree: int) -> Poly:
     cs = [Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
-    return Poly.from_coeffs(cs + [Q(rng.randint(1, 4), rng.randint(1, 3))])
+    return Poly.of(*cs, Q(rng.randint(1, 4), rng.randint(1, 3)))
 
 
 def _to_sympy(p: Poly, var=T):
@@ -48,7 +48,7 @@ def _to_sympy(p: Poly, var=T):
 
 
 def _from_sympy(sp) -> Poly:
-    return Poly.from_coeffs(Q(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs()))
+    return Poly.of(*(Q(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
 
 
 def _squarefree_by_sympy(sep: Poly) -> bool:

@@ -1,5 +1,7 @@
 """Order-calculus engine: ledgers, form checks, verdict dispatch."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,6 +15,8 @@ from uniqpoly.orders import (
     VERDICT_RANK,
     FormSpec,
     RouteError,
+    _scaled_alg_routes,
+    _scaled_brody_routes,
     atom_link,
     atom_x,
     atom_y,
@@ -27,6 +31,7 @@ from uniqpoly.orders import (
     scaled_statement_grants,
 )
 from uniqpoly.polynomials import Poly, X
+from uniqpoly.report import jsonable
 
 DIAG = ("diag",)
 
@@ -432,6 +437,33 @@ def test_enumeration_pairings_are_valid_injections():
         assert len(set(srcs)) == len(srcs)
         assert len(set(dsts)) == len(dsts)
         assert all(i != j for i, j in cfg.pairing)
+
+
+# the route names _shared_verdict can return
+SHARED_ROUTES = ("split-diagonal-pair", "balanced-plus-split", "balanced-diagonal")
+
+
+def test_every_dispatch_route_is_reached():
+    # a route no configuration reaches is dead code in the dispatch
+    cfg = Configuration("scaled", (1, 1))
+    ledger = build_ledger(cfg)
+    slugs = {slug for slug, _ in _scaled_brody_routes(cfg, ledger)}
+    slugs |= {slug for slug, _ in _scaled_alg_routes(cfg, ledger)}
+    slugs |= set(SHARED_ROUTES)
+    reached = {hyperbolicity_verdict(c).route for c in enumerate_configurations(12)}
+    assert slugs - reached == set()
+
+
+def test_certificates_are_pinned_through_degree_ten():
+    # sha256 over every serialized certificate for n <= 10, in enumeration
+    # order; a refactor of the dispatch must not move a single byte
+    h = hashlib.sha256()
+    cfgs = enumerate_configurations(10)
+    for cfg in cfgs:
+        h.update(json.dumps(jsonable(hyperbolicity_verdict(cfg).as_dict())).encode())
+    assert len(cfgs) == 1858
+    assert h.hexdigest() == (
+        "a03c618482d0e35aa7e21d3acb2098c375ffbf6859be4a64aed9be07d95c6783")
 
 
 # ---------------------------------------------------------------------------
