@@ -431,7 +431,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    # the parser bounds every input coefficient, but exact values derived
+    # from them (the critical values of a degree-64 curve census, say) can
+    # pass CPython's 4300-digit limit on int-to-str conversion, which
+    # exists to stop unbounded input; reports print them in full
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
+
+def _dispatch(args) -> int:
     poly_runners = {
         "classify": _run_classify,
         "witness": _run_witness,

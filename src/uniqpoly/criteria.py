@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .polynomials import (
@@ -33,6 +34,7 @@ from .polynomials import (
     poly_gcd,
     radical,
     resultant,
+    separated_mod_p,
     squarefree_parts,
 )
 
@@ -128,26 +130,24 @@ def index_data(p: Poly) -> IndexData:
 
 @dataclass(frozen=True)
 class CriticalStructure:
+    polynomial: Poly
     derivative: Poly
     radical: Poly  # monic product of distinct critical-point factors
     count: int  # number of distinct critical points (degree of radical)
     profile: tuple[int, ...]  # critical-point multiplicities in P', descending
-    separation_poly: Poly  # monic, roots are exactly the critical values
     is_separated: bool  # all critical values distinct
     has_zero_value: bool  # some critical value equals 0
 
+    @cached_property
+    def separation_poly(self) -> Poly:
+        """Monic, roots are exactly the critical values; built on first read."""
+        return _separation_poly(self.radical, self.polynomial)
 
-def critical_structure(p: Poly) -> CriticalStructure:
-    if p.degree < 2:
-        raise ValueError("critical structure needs degree at least 2")
-    dp = p.derivative()
-    parts = squarefree_parts(dp)
-    rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
+
+def _separation_poly(rad: Poly, p: Poly) -> Poly:
+    # evaluation and interpolation: since rad is monic,
+    # Res_X(rad, t - P) = prod_i (t - P(alpha_i)) for each value t
     l = rad.degree
-    profile = sorted((mult for factor, mult in parts
-                      for _ in range(factor.degree)), reverse=True)
-    # separation polynomial by evaluation and interpolation: since rad is
-    # monic, Res_X(rad, t - P) = prod_i (t - P(alpha_i)) for each value t
     pts = []
     for t in range(l + 1):
         val = resultant(rad, Poly.of(Q(t)) - p)
@@ -155,20 +155,45 @@ def critical_structure(p: Poly) -> CriticalStructure:
     sep = lagrange_interpolate(pts)
     if sep.degree != l or sep.lc != 1:
         raise RuntimeError(f"separation polynomial must be monic of degree {l}")
-    # sep is monic, so squarefree modulo a prime makes it squarefree over
-    # Q; the exact gcd runs only when no prime certifies that
-    dsep = sep.derivative()
-    separated = (gcd_degree_mod_p(sep, dsep) == 0
-                 or poly_gcd(sep, dsep).degree == 0)
-    return CriticalStructure(
+    return sep
+
+
+def critical_structure(p: Poly) -> CriticalStructure:
+    """Critical points, profile and separation of P.
+
+    Separation is decided modulo a prime (``separated_mod_p``); the exact
+    value polynomial is built only when no prime certifies it, or later
+    when ``separation_poly`` is first read.
+    """
+    if p.degree < 2:
+        raise ValueError("critical structure needs degree at least 2")
+    dp = p.derivative()
+    parts = squarefree_parts(dp)
+    rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
+    profile = sorted((mult for factor, mult in parts
+                      for _ in range(factor.degree)), reverse=True)
+    separated = separated_mod_p(rad, p)
+    sep = None
+    if not separated:
+        # sep is monic, so squarefree modulo any prime that divides no
+        # denominator settles it too; the exact gcd runs last
+        sep = _separation_poly(rad, p)
+        dsep = sep.derivative()
+        separated = (gcd_degree_mod_p(sep, dsep) == 0
+                     or poly_gcd(sep, dsep).degree == 0)
+    cs = CriticalStructure(
+        polynomial=p,
         derivative=dp,
         radical=rad,
-        count=l,
+        count=rad.degree,
         profile=tuple(profile),
-        separation_poly=sep,
         is_separated=separated,
-        has_zero_value=sep.coeff(0) == 0,
+        # sep(0) = (-1)^l Res(rad, P), so one resultant answers for 0
+        has_zero_value=resultant(rad, p) == 0,
     )
+    if sep is not None:
+        cs.__dict__["separation_poly"] = sep  # where cached_property keeps it
+    return cs
 
 
 # affine symmetries of the root set
@@ -268,14 +293,11 @@ def exceptional_flags(cs: CriticalStructure) -> ExceptionalFlags:
     That is read off the value polynomial without leaving the rationals.
     """
     n = cs.derivative.degree + 1
-    sep = cs.separation_poly
     structural = n == 4 and cs.profile == (1, 1, 1)
-    w = (
-        structural
-        and sep.coeff(2) == 0
-        and sep.coeff(1) == 0
-        and sep.coeff(0) != 0
-    )
+    w = False
+    if structural:
+        sep = cs.separation_poly
+        w = sep.coeff(2) == 0 and sep.coeff(1) == 0 and sep.coeff(0) != 0
     return ExceptionalFlags(
         quartic_w_case=w,
         quintic_case=n == 5 and cs.profile == (2, 2),

@@ -13,7 +13,11 @@ Juxtaposition multiplies, so "4X" and "2(X+1)" work. Errors carry the
 byte offset of the offending token and the set of tokens that would
 have been accepted there. Parentheses nest at most MAX_NESTING deep.
 With a degree cap, a power whose degree would exceed the cap is
-rejected before it is expanded.
+rejected before it is expanded. A literal may have at most
+MAX_LITERAL_DIGITS digits, and every coefficient met while parsing at
+most MAX_COEFF_BITS bits in its numerator and in its denominator,
+powers included: a power is computed by squaring with each step
+checked, so one that outgrows the bound fails within a few squarings.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ _OPS = set("+-*/^()")
 # atom), so this stays well inside the default recursion limit of 1000
 MAX_NESTING = 100
 
+# far below CPython's 4300-digit limit on int <-> str conversion, so every
+# accepted coefficient converts and prints
+MAX_LITERAL_DIGITS = 1000
+MAX_COEFF_BITS = 4096
+
+
+def _bits(c: Fraction) -> int:
+    return max(abs(c.numerator), c.denominator).bit_length()
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) triples; kinds are int, var, and the ops."""
@@ -62,6 +75,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than "
+                                 f"{MAX_LITERAL_DIGITS} digits", i)
             out.append(("int", text[i:j], i))
             i = j
         elif ch in ("X", "x"):
@@ -96,24 +112,30 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {what}", offset, expected)
 
+    def bounded(self, p: Poly, offset: int) -> Poly:
+        if any(_bits(c) > MAX_COEFF_BITS for c in p.coeffs):
+            raise ParseError(
+                f"coefficient exceeds {MAX_COEFF_BITS} bits", offset)
+        return p
+
     def expr(self) -> Poly:
         acc = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, offset = self.take()
             t = self.term()
-            acc = acc + t if op == "+" else acc - t
+            acc = self.bounded(acc + t if op == "+" else acc - t, offset)
         return acc
 
     def term(self) -> Poly:
         acc = self.factor()
         while True:
-            kind = self.peek()[0]
+            kind, _, offset = self.peek()
             if kind == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = self.bounded(acc * self.factor(), offset)
             elif kind in ("var", "int", "("):
                 # juxtaposition: 4X, 2(X+1), (X+1)(X-1)
-                acc = acc * self.factor()
+                acc = self.bounded(acc * self.factor(), offset)
             else:
                 return acc
 
@@ -124,7 +146,7 @@ class _Parser:
                 sign = -sign
         base = self.atom()
         if self.peek()[0] == "^":
-            self.take()
+            _, _, offset = self.take()
             kind, text, _ = self.peek()
             if kind != "int":
                 self.fail(("integer exponent",))
@@ -134,7 +156,17 @@ class _Parser:
             cap = self.degree_cap
             if cap is not None and base.degree * k > cap:
                 raise DegreeCapError(base.degree * k, cap)
-            base = base ** k
+            # square and multiply with every step bounded, so a power
+            # whose coefficients outgrow the bound stops within a few
+            # squarings instead of being computed
+            out = Poly.of(1)
+            while k:
+                if k & 1:
+                    out = self.bounded(out * base, offset)
+                k >>= 1
+                if k:
+                    base = self.bounded(base * base, offset)
+            base = out
         return base if sign == 1 else -base
 
     def atom(self) -> Poly:

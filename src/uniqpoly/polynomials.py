@@ -9,8 +9,11 @@ integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
 algorithm, interpolation uses Newton's divided differences, and the
 cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Euclid
 modulo a large prime bounds the degree of a gcd from above, which lets
-callers certify a gcd without running the exact one. The test suite checks
-the resultant against a Sylvester-determinant oracle.
+callers certify a gcd without running the exact one, and the value
+polynomial of the critical points is built and tested modulo such a prime.
+Rational roots come from roots modulo a small prime lifted by Hensel's
+lemma. The test suite checks the resultant against a Sylvester-determinant
+oracle.
 """
 
 from __future__ import annotations
@@ -268,8 +271,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    _, A = _int_clear(p)
-    _, B = _int_clear(q)
+    return Poly.of(*_int_gcd(_int_clear(p)[1], _int_clear(q)[1])).monic()
+
+
+def _int_gcd(A: list[int], B: list[int]) -> list[int]:
+    """Primitive gcd of nonzero integer polynomials, leading term positive."""
     if _ideg(A) < _ideg(B):
         A, B = B, A
     while B:
@@ -280,7 +286,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             B = [x // c for x in R]
         else:
             B = []
-    return Poly.of(*A).monic()
+    c = _icontent(A) if A[-1] > 0 else -_icontent(A)
+    return [x // c for x in A]
 
 
 # primes just below 2^61 for the modular gcd-degree bound
@@ -301,11 +308,15 @@ def gcd_degree_mod_p(f: Poly, g: Poly) -> Optional[int]:
         if f.lc.numerator % p == 0 or any(
                 c.denominator % p == 0 for c in f.coeffs + g.coeffs):
             continue
-        a, b = _reduce_mod(f, p), _reduce_mod(g, p)
-        while b:
-            a, b = b, _rem_mod(a, b, p)
-        return _ideg(a)
+        return _gcd_degree_mod(_reduce_mod(f, p), _reduce_mod(g, p), p)
     return None
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) in F_p, by Euclid; a must be nonzero."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return _ideg(a)
 
 
 def _reduce_mod(f: Poly, p: int) -> list[int]:
@@ -317,14 +328,86 @@ def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Remainder of a under division by a nonzero b, in F_p."""
     inv = pow(b[-1], -1, p)
     db = _ideg(b)
+    low = b[:-1]
     rem = list(a)
-    while _ideg(rem) >= db:
-        lead = rem[-1] * inv % p
-        shift = _ideg(rem) - db
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - lead * c) % p
+    while len(rem) > db:
+        # the top term cancels exactly, so it is dropped rather than computed
+        lead = rem.pop() * inv % p
+        if lead:
+            shift = len(rem) - db
+            rem[shift:] = [(x - lead * y) % p
+                           for x, y in zip(rem[shift:], low)]
         _istrip(rem)
     return rem
+
+
+def _res_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) in F_p for a nonzero, by Euclid.
+
+    Uses Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    for r = a mod b.
+    """
+    res = 1
+    while len(b) > 1:
+        r = _rem_mod(a, b, p)
+        if not r:
+            return 0
+        da, db = _ideg(a), _ideg(b)
+        if da & db & 1:
+            res = -res
+        res = res * pow(b[-1], da - _ideg(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], _ideg(a), p) % p if b else 0
+
+
+def _newton_mod(values: Sequence[int], p: int) -> list[int]:
+    """Ascending coefficients in F_p of the interpolant of values at 0..l."""
+    dd = list(values)
+    l = len(dd) - 1
+    for k in range(1, l + 1):
+        inv = pow(k, -1, p)  # the nodes are i and i - k
+        for i in range(l, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv % p
+    acc: list[int] = []
+    for k in range(l, -1, -1):
+        # acc := acc * (X - k) + dd[k]
+        nxt = [0] + acc
+        for i, c in enumerate(acc):
+            nxt[i] = (nxt[i] - k * c) % p
+        nxt[0] = (nxt[0] + dd[k]) % p
+        acc = nxt
+    return acc
+
+
+def separated_mod_p(rad: Poly, p: Poly) -> bool:
+    """True when the value polynomial of P is squarefree modulo a prime.
+
+    The value polynomial is sep(t) = Res_X(rad, t - P), the product of
+    t - P(alpha) over the roots alpha of the monic rad. With q the first
+    prime of ``GCD_PRIMES`` above l = deg rad that divides no denominator
+    of rad or P, every P(alpha) is integral at q, so sep mod q is the
+    interpolant of the l + 1 resultants Res(rad, t - (P mod rad)) in F_q
+    at t = 0..l, monic of degree l. Since sep is monic, squarefree mod q
+    makes it squarefree over Q: the critical values are distinct. False
+    means only that no prime certified it.
+    """
+    l = rad.degree
+    for q in GCD_PRIMES:
+        if q <= l or any(c.denominator % q == 0
+                         for c in rad.coeffs + p.coeffs):
+            continue
+        r = _reduce_mod(rad, q)
+        low = _rem_mod(_reduce_mod(p, q), r, q) or [0]
+        high = [-c % q for c in low[1:]]  # t - (P mod rad) above degree 0
+        values = [_res_mod(r, [(t - low[0]) % q] + high, q)
+                  for t in range(l + 1)]
+        sep = _istrip(_newton_mod(values, q))
+        if _ideg(sep) != l or sep[-1] != 1:
+            raise RuntimeError(
+                f"value polynomial modulo {q} must be monic of degree {l}")
+        return _gcd_degree_mod(sep, _istrip(
+            [i * c % q for i, c in enumerate(sep)][1:]), q) == 0
+    return False
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:
@@ -438,54 +521,106 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     return Poly(_strip(acc))
 
 
-def _divisors(n: int) -> Iterator[int]:
-    n = abs(n)
-    found = [1]
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            power = []
-            while n % d == 0:
-                n //= d
-                power.append(d ** len(power) * d)
-            found = [f * pw for f in found for pw in [1] + power]
-        d += 1 if d == 2 else 2
-    if n > 1:
-        found = [f * pw for f in found for pw in (1, n)]
-    return iter(sorted(set(found)))
+def _int_divexact(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """A / B for integer polynomials that B divides over the integers."""
+    R = list(A)
+    db = _ideg(B)
+    out = [0] * (len(A) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c = out[k] = R[k + db] // B[-1]
+        if c:
+            for i, b in enumerate(B):
+                R[k + i] -= c * b
+    return out
+
+
+def _eval_mod(cs: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _small_primes() -> Iterator[int]:
+    q = 3
+    while True:
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+        q += 2
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic squarefree integer polynomial.
+
+    Every integer root lies within Cauchy's bound B = 1 + max |g_i|. At
+    a small prime q where g stays squarefree each is a simple root mod q,
+    so Hensel's lemma lifts it uniquely to a root mod m = q^(2^k) > 2B,
+    whose symmetric residue is the root itself (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 15).
+    """
+    bound = 1 + max(abs(c) for c in g[:-1])
+    dg = [i * c for i, c in enumerate(g)][1:]
+    for q in _small_primes():
+        if _gcd_degree_mod([c % q for c in g],
+                           _istrip([c % q for c in dg]), q) == 0:
+            break
+    out = []
+    for y in range(q):
+        if _eval_mod(g, y, q):
+            continue
+        m = q
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _eval_mod(g, y, m) * pow(_eval_mod(dg, y, m), -1, m)) % m
+        out.append(y - m if 2 * y > m else y)
+    return out
+
+
+def _screen(f: Sequence[int], u: int, v: int) -> int:
+    """v^d f(u/v), as sum f_i u^i v^(d-i) over the integers."""
+    acc = 0
+    vp = 1
+    for c in reversed(f):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, ascending."""
+    """All rational roots with multiplicities, ascending.
+
+    With f the primitive integer multiple of p, s its squarefree part and
+    a = lc(s), the rational roots of p are the Y/a for the integer roots
+    Y of the monic g(Y) = a^(e-1) s(Y/a), e = deg s. Each root u/v found
+    is divided out of f as the factor vX - u as often as f vanishes there.
+    """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
-    # pull off the root at 0 first so the constant term is nonzero
+    _, f = _int_clear(p)
     k = 0
-    while p.coeff(0) == 0 and p.degree > 0:
-        p = p.exact_div(X)
+    while f[k] == 0:
         k += 1
-    if k:
-        roots.append((Q(0), k))
-    if p.degree < 1:
-        return sorted(roots)
-    _, ints = _int_clear(p)
-    c0, cn = ints[0], ints[-1]
-    seen = set()
-    for num in _divisors(c0):
-        for den in _divisors(cn):
-            for cand in (Q(num, den), Q(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p.evaluate(cand) != 0:
-                    continue
-                mult = 0
-                lin = Poly.of(-cand, 1)
-                while p.evaluate(cand) == 0 and p.degree > 0:
-                    p = p.exact_div(lin)
-                    mult += 1
-                roots.append((cand, mult))
+    f = f[k:]
+    roots: list[tuple[Fraction, int]] = [(Q(0), k)] if k else []
+    if len(f) < 2:
+        return roots
+    s = f
+    df = [i * c for i, c in enumerate(f)][1:]
+    q = GCD_PRIMES[0]
+    if f[-1] % q == 0 or _gcd_degree_mod(
+            [c % q for c in f], _istrip([c % q for c in df]), q) > 0:
+        s = _int_divexact(f, _int_gcd(f, df))
+    e, a = _ideg(s), s[-1]
+    g = [c * a ** (e - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    for y in _integer_roots(g):
+        t = math.gcd(y, a)
+        u, v = y // t, a // t
+        mult = 0
+        while len(f) > 1 and _screen(f, u, v) == 0:
+            f = _int_divexact(f, [-u, v])
+            mult += 1
+        if mult:
+            roots.append((Q(u, v), mult))
     return sorted(roots)
 
 

@@ -24,12 +24,15 @@ class TriPoly:
     __slots__ = ("terms", "degree")
 
     def __init__(self, terms: Mapping[Exp, Fraction | int]):
+        # a Mapping holds each exponent once, so nothing is summed here
         clean: dict[Exp, Fraction] = {}
         deg = None
-        for (i, j, k), c in terms.items():
-            c = Q(c)
-            if c == 0:
+        for e, c in terms.items():
+            if type(c) is not Fraction:
+                c = Q(c)
+            if not c:
                 continue
+            i, j, k = e
             if i < 0 or j < 0 or k < 0:
                 raise ValueError("negative exponent")
             d = i + j + k
@@ -37,9 +40,9 @@ class TriPoly:
                 deg = d
             elif d != deg:
                 raise ValueError("terms of unequal total degree")
-            clean[(i, j, k)] = clean.get((i, j, k), Q(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
-        self.degree = deg if self.terms else None
+            clean[e] = c
+        self.terms = clean
+        self.degree = deg
 
     @property
     def is_zero(self) -> bool:

@@ -130,6 +130,18 @@ def test_non_monic_separation_polynomial_is_an_error(monkeypatch):
     monkeypatch.setattr(criteria, "lagrange_interpolate",
                         lambda pts: 2 * interpolate(pts))
     with pytest.raises(RuntimeError, match="monic"):
+        critical_structure(X**4 + X + 1).separation_poly
+
+
+def test_non_monic_modular_image_is_an_error(monkeypatch):
+    # separation is decided on the value polynomial modulo a prime, whose
+    # image must be monic of degree l just as the exact one is
+    from uniqpoly import polynomials
+
+    newton = polynomials._newton_mod
+    monkeypatch.setattr(polynomials, "_newton_mod",
+                        lambda vals, q: [2 * c % q for c in newton(vals, q)])
+    with pytest.raises(RuntimeError, match="monic"):
         critical_structure(X**4 + X + 1)
 
 

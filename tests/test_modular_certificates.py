@@ -1,10 +1,11 @@
 """Certificates modulo a prime, and the O(l^2) interpolation, against sympy.
 
-``critical_structure`` decides separation by checking the monic value
-polynomial squarefree modulo a large prime, and ``_constraint_gcd`` stops
-at beta - 1 once a prime bounds the gcd's degree by 1; both fall back to
-the exact gcd. These tests compare the answers with sympy's and check that
-the fallback gives the same verdicts when no prime certifies anything.
+``critical_structure`` decides separation by building the monic value
+polynomial modulo a large prime and checking it squarefree there, and
+``_constraint_gcd`` stops at beta - 1 once a prime bounds the gcd's degree
+by 1; both fall back to the exact gcd. These tests compare the answers
+with sympy's and check that the fallback gives the same verdicts when no
+prime certifies anything.
 """
 
 from __future__ import annotations
@@ -162,9 +163,19 @@ def _inputs_with_denominators() -> list[Poly]:
 def test_exact_fallback_when_no_prime_answers(monkeypatch):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
+    monkeypatch.setattr(criteria, "separated_mod_p", lambda rad, p: False)
     monkeypatch.setattr(criteria, "gcd_degree_mod_p", lambda f, g: None)
     monkeypatch.setattr(classify_mod, "gcd_degree_mod_p", lambda f, g: None)
+    exact = criteria.poly_gcd
+    separation_gcds = []
+
+    def counted(f, g):
+        separation_gcds.append(1)
+        return exact(f, g)
+
+    monkeypatch.setattr(criteria, "poly_gcd", counted)
     assert [_results(p) for p in inputs] == want
+    assert len(separation_gcds) >= len(inputs)  # the fallback ran for each
 
 
 def test_exact_fallback_when_the_prime_divides_a_denominator(monkeypatch):
@@ -202,3 +213,25 @@ def test_degree_64_classify_is_fast():
     v = classify(p)
     assert time.perf_counter() - start < 10  # 26 s with the exact gcd
     assert consistency_audit(p, v)["ok"]
+
+
+def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
+    calls = {"resultant": 0, "lagrange_interpolate": 0}
+    for name in calls:
+        original = getattr(criteria, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(criteria, name, counted)
+    p = _dense(random.Random(20), 20)
+    cs = critical_structure(p)
+    assert cs.is_separated
+    # the parent built sep from l + 1 resultants and one interpolation
+    assert calls == {"resultant": 1, "lagrange_interpolate": 0}
+    x = sympy.Symbol("x")
+    want = sympy.resultant(_to_sympy(cs.radical, x).as_expr(),
+                           T - _to_sympy(p, x).as_expr(), x)
+    assert cs.separation_poly == _from_sympy(sympy.Poly(want, T, domain="QQ"))
+    assert calls == {"resultant": 1 + cs.count + 1, "lagrange_interpolate": 1}

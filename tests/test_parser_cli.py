@@ -12,6 +12,8 @@ import pytest
 
 from uniqpoly import cli
 from uniqpoly.parser import (
+    MAX_COEFF_BITS,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     DegreeCapError,
     ParseError,
@@ -112,6 +114,23 @@ def test_nesting_limit():
     assert info.value.offset == MAX_NESTING
 
 
+def test_literal_and_coefficient_bounds():
+    with pytest.raises(ParseError, match="longer than") as exc:
+        parse_poly("X^2 + " + "7" * (MAX_LITERAL_DIGITS + 1))
+    assert exc.value.offset == 6
+    assert parse_poly("7" * MAX_LITERAL_DIGITS).coeff(0) > 0
+    # the bound holds for numerators, denominators, products and powers
+    assert parse_poly(f"X + 2^{MAX_COEFF_BITS - 1}").coeff(0).numerator \
+        .bit_length() == MAX_COEFF_BITS
+    for text, offset in ((f"X + 2^{MAX_COEFF_BITS}", 5),
+                         (f"X + 1/3^{MAX_COEFF_BITS}", 7),
+                         ("X + 2^2000 * 2^2000 * 2^2000", 20),
+                         ("X^2 + (X^2 + 2^4000*X + 1)^32", 26)):
+        with pytest.raises(ParseError, match=f"{MAX_COEFF_BITS} bits") as exc:
+            parse_poly(text)
+        assert exc.value.offset == offset, text
+
+
 def test_format_round_trip_pins():
     pins = [
         X**4 + X + 1,
@@ -185,6 +204,18 @@ def test_huge_power_exits_two_at_once(capsys):
     assert code == 2
     assert rep["error"]["message"] == (
         "degree 9999999999999999999 exceeds the cap 64")
+
+
+@pytest.mark.parametrize("text, offset", [("2^100000*X^2+1", 1),
+                                          ("X^3+X+123456789^20000", 15)])
+def test_huge_constant_power_exits_two_at_once(capsys, text, offset):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", text)
+    assert time.perf_counter() - start < 0.05
+    rep = json.loads(out)
+    assert code == 2
+    assert rep["error"]["message"] == (
+        f"coefficient exceeds {MAX_COEFF_BITS} bits at offset {offset}")
 
 
 def test_classify_out_of_scope_exit_three(capsys):
@@ -371,6 +402,30 @@ def test_curve_census_abstains_on_zero_critical_value(capsys):
     census = rep["scaled_curve"]["census"]
     assert census["available"] is False
     assert "zero" in census["reason"]
+
+
+def test_curve_with_a_large_prime_constant_term_is_fast(capsys):
+    # P' = 3X^2 + (2^61 - 1); its rational roots used to be searched for
+    # among the divisors of the constant term
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "curve", "--c=2", "--",
+                           "X^3 + 2305843009213693951*X")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    census = json.loads(out)["scaled_curve"]["census"]
+    assert census == {"available": False,
+                      "reason": "some critical value is irrational"}
+
+
+def test_curve_prints_critical_values_past_4300_digits(capsys):
+    # the critical point 10^999 / 7 gives a critical value of about
+    # 16,000 digits, past CPython's default int-to-str limit
+    text = f"1/16*X^16 - 1{'0' * 999}/7*1/15*X^15 + 1"
+    code, out, _ = run_cli(capsys, "curve", "--c=2", "--", text)
+    assert code == 0
+    values = json.loads(out)["scaled_curve"]["census"]["critical_values"]
+    assert max(len(v) for v in values) > 4300
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_curve_rejects_degenerate_multiplier(capsys):

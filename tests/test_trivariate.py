@@ -69,3 +69,16 @@ def test_z_divisibility():
     assert g == tri({(2, 0, 0): 1, (0, 1, 1): -3})
     with pytest.raises(ValueError):
         f.divide_z(2)
+
+
+def test_constructor_checks_and_coefficient_type():
+    with pytest.raises(ValueError, match="unequal"):
+        TriPoly({(1, 0, 0): 1, (0, 0, 2): 1})
+    with pytest.raises(ValueError, match="negative"):
+        TriPoly({(2, -1, 0): 1})
+    # zero coefficients are dropped before the checks see them
+    f = TriPoly({(1, 0, 0): 2, (0, 0, 5): 0, (2, -1, 0): Q(0)})
+    assert f.terms == {(1, 0, 0): 2}
+    assert all(type(c) is Q for c in f.terms.values())
+    assert TriPoly({(0, 0, 1): 0}).is_zero
+    assert TriPoly({(0, 0, 1): 0}).degree is None
