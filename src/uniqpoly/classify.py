@@ -57,7 +57,6 @@ from .curves import (
 from .polynomials import (
     Poly,
     cyclotomic,
-    gcd_degree_mod_p,
     poly_gcd,
     radical,
     rational_roots,
@@ -632,37 +631,29 @@ def _constraint_gcd(p: Poly) -> Poly:
     """gcd of the coefficient equations for P(beta X + gamma) = beta^n P(X).
 
     The top two coefficients force c = beta^n and gamma = s (1 - beta)
-    with s the centering shift; what is left is one polynomial equation
-    in beta per remaining coefficient. Every equation vanishes at
-    beta = 1, the identity map, so the gcd is zero or divisible by
-    beta - 1, and the loop stops as soon as it is beta - 1.
+    with s the centering shift. With P(X) = sum q_j (X - s)^j, where
+    q_{n-1} = 0, the difference P(beta X + gamma) - beta^n P(X) is
+    sum_{j <= n-2} E_j (X - s)^j with E_j = q_j (beta^j - beta^n). Its
+    X^j coefficients are a unitriangular, beta-free transform of the E_j,
+    so both sets have the same monic gcd. Every E_j vanishes at beta = 1,
+    the identity map, so the fold stops once the gcd is beta - 1. The q_j
+    come from P's coefficients here, not from ``taylor_shift``, so the
+    audit stays independent of the code it checks.
     """
     n = p.degree
     if n < 1:
         raise ValueError("search needs degree at least 1")
-    s = -p.coeff(n - 1) / (n * p.lc)
-    gamma = Poly.of(s, -s)  # s * (1 - beta) as a polynomial in beta
-    powers = [Poly.of(Q(1))]
-    for _ in range(n):
-        powers.append(powers[-1] * gamma)
-    g = Poly.of(Q(0))
+    a = p.coeffs
+    s = -a[n - 1] / (n * a[n])
+    g = Poly.zero()
     for j in range(n - 1):
-        # coefficient of X^j in P(beta X + gamma), minus beta^n times a_j
-        e = Poly.of(Q(0))
-        for k in range(j, n + 1):
-            ak = p.coeff(k)
-            if ak == 0:
-                continue
-            e = e + ak * math.comb(k, j) * powers[k - j]
-        e = e * Poly.from_support({j: 1})
-        e = e - Poly.from_support({n: p.coeff(j)})
-        # beta - 1 divides both, so a prime bounding the gcd's degree by
-        # 1 certifies that it is beta - 1
-        if not g.is_zero and gcd_degree_mod_p(g, e) == 1:
-            return Poly.of(-1, 1)
-        g = poly_gcd(g, e)
-        if g.degree == 1:
-            return g
+        q = sum(a[k] * math.comb(k, j) * s ** (k - j)
+                for k in range(j, n + 1) if a[k])
+        if q:
+            g = poly_gcd(g, Poly.from_support({j: q, n: -q}))
+            if g.degree == 1:
+                return g
+    return g
     return g
 
 
@@ -713,7 +704,8 @@ def witness_search(p: Poly, mode: str = "any_c",
         # an exact power of (X - s): every map about the center works
         if mode == "any_c" or n % 2 == 0:
             return finish(0, Q(-1))
-        return finish(n, None)
+        # the rotations of order n; for n = 1 that is only the identity
+        return finish(n, None) if n > 1 else None
     g = _strip_root(g, Q(1))
     g = _strip_root(g, Q(0))
     if mode == "c_equals_1":

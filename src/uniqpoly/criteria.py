@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from .polynomials import (
     Poly,
-    gcd_degree_mod_p,
     lagrange_interpolate,
     poly_gcd,
     radical,
@@ -175,12 +174,8 @@ def critical_structure(p: Poly) -> CriticalStructure:
     separated = separated_mod_p(rad, p)
     sep = None
     if not separated:
-        # sep is monic, so squarefree modulo any prime that divides no
-        # denominator settles it too; the exact gcd runs last
         sep = _separation_poly(rad, p)
-        dsep = sep.derivative()
-        separated = (gcd_degree_mod_p(sep, dsep) == 0
-                     or poly_gcd(sep, dsep).degree == 0)
+        separated = poly_gcd(sep, sep.derivative()).degree == 0
     cs = CriticalStructure(
         polynomial=p,
         derivative=dp,

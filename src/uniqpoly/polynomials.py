@@ -7,13 +7,13 @@ stripped, so the zero polynomial is the empty tuple. Every operation is exact
 The resultant uses a subresultant pseudo-remainder sequence over cleared
 integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
 algorithm, interpolation uses Newton's divided differences, and the
-cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Euclid
-modulo a large prime bounds the degree of a gcd from above, which lets
-callers certify a gcd without running the exact one, and the value
-polynomial of the critical points is built and tested modulo such a prime.
-Rational roots come from roots modulo a small prime lifted by Hensel's
-lemma. The test suite checks the resultant against a Sylvester-determinant
-oracle.
+cyclotomic polynomial Phi_r comes from exact division of X^r - 1. One
+helper tests squarefreeness modulo a prime, by Euclid on f and f' in F_q.
+The value polynomial of the critical points is built modulo a prime near
+2^61 and certified squarefree there, and rational roots come from roots
+modulo a small prime where the input stays squarefree, lifted by
+Hensel's lemma. The test suite checks the resultant against a
+Sylvester-determinant oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 Q = Fraction
 
@@ -290,33 +290,8 @@ def _int_gcd(A: list[int], B: list[int]) -> list[int]:
     return [x // c for x in A]
 
 
-# primes just below 2^61 for the modular gcd-degree bound
+# primes just below 2^61 for the squarefree certificates modulo a prime
 GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
-
-
-def gcd_degree_mod_p(f: Poly, g: Poly) -> Optional[int]:
-    """Upper bound on deg gcd(f, g) over Q, from Euclid modulo a prime.
-
-    Answers with the first prime p of ``GCD_PRIMES`` that divides no
-    denominator of f or g and not the numerator of lc(f). For such p the
-    monic gcd over Q of f is p-integral (Gauss's lemma over the integers
-    localized at p), so it reduces to a divisor of gcd(f mod p, g mod p)
-    of the same degree, and the degree returned is at least the one over
-    Q. Returns None when no prime qualifies. f must be nonzero.
-    """
-    for p in GCD_PRIMES:
-        if f.lc.numerator % p == 0 or any(
-                c.denominator % p == 0 for c in f.coeffs + g.coeffs):
-            continue
-        return _gcd_degree_mod(_reduce_mod(f, p), _reduce_mod(g, p), p)
-    return None
-
-
-def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd(a, b) in F_p, by Euclid; a must be nonzero."""
-    while b:
-        a, b = b, _rem_mod(a, b, p)
-    return _ideg(a)
 
 
 def _reduce_mod(f: Poly, p: int) -> list[int]:
@@ -339,6 +314,17 @@ def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
                            for x, y in zip(rem[shift:], low)]
         _istrip(rem)
     return rem
+
+
+def _squarefree_mod(f: Sequence[int], q: int) -> bool:
+    """For nonzero f: q does not divide lc(f), and gcd(f, f') = 1 in F_q."""
+    if f[-1] % q == 0:
+        return False
+    a = [c % q for c in f]
+    b = _istrip([i * c % q for i, c in enumerate(a)][1:])
+    while b:
+        a, b = b, _rem_mod(a, b, q)
+    return _ideg(a) == 0
 
 
 def _res_mod(a: list[int], b: list[int], p: int) -> int:
@@ -405,8 +391,7 @@ def separated_mod_p(rad: Poly, p: Poly) -> bool:
         if _ideg(sep) != l or sep[-1] != 1:
             raise RuntimeError(
                 f"value polynomial modulo {q} must be monic of degree {l}")
-        return _gcd_degree_mod(sep, _istrip(
-            [i * c % q for i, c in enumerate(sep)][1:]), q) == 0
+        return _squarefree_mod(sep, q)
     return False
 
 
@@ -561,8 +546,7 @@ def _integer_roots(g: list[int]) -> list[int]:
     bound = 1 + max(abs(c) for c in g[:-1])
     dg = [i * c for i, c in enumerate(g)][1:]
     for q in _small_primes():
-        if _gcd_degree_mod([c % q for c in g],
-                           _istrip([c % q for c in dg]), q) == 0:
+        if _squarefree_mod(g, q):
             break
     out = []
     for y in range(q):
@@ -605,11 +589,8 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     if len(f) < 2:
         return roots
     s = f
-    df = [i * c for i, c in enumerate(f)][1:]
-    q = GCD_PRIMES[0]
-    if f[-1] % q == 0 or _gcd_degree_mod(
-            [c % q for c in f], _istrip([c % q for c in df]), q) > 0:
-        s = _int_divexact(f, _int_gcd(f, df))
+    if not _squarefree_mod(f, GCD_PRIMES[0]):
+        s = _int_divexact(f, _int_gcd(f, [i * c for i, c in enumerate(f)][1:]))
     e, a = _ideg(s), s[-1]
     g = [c * a ** (e - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     for y in _integer_roots(g):

@@ -223,6 +223,9 @@ def test_witness_search_pins():
     # cyclotomic solution: order 3 map for the pure cube
     w = witness_search(X**3, "c_equals_1")
     assert w.order == 3 and w.beta is None and w.c_exponent == 0
+    # a line maps onto itself with c = 1 only by the identity
+    assert witness_search(X + 1, "c_equals_1") is None
+    assert witness_search(3 * X - 2, "c_equals_1") is None
     with pytest.raises(ValueError):
         witness_search(X**4, "shared")
 

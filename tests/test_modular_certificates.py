@@ -1,11 +1,12 @@
-"""Certificates modulo a prime, and the O(l^2) interpolation, against sympy.
+"""Certificates modulo a prime, and the witness equations, against sympy.
 
 ``critical_structure`` decides separation by building the monic value
-polynomial modulo a large prime and checking it squarefree there, and
-``_constraint_gcd`` stops at beta - 1 once a prime bounds the gcd's degree
-by 1; both fall back to the exact gcd. These tests compare the answers
-with sympy's and check that the fallback gives the same verdicts when no
-prime certifies anything.
+polynomial modulo a large prime and checking it squarefree there
+(``_squarefree_mod``), and falls back to the exact gcd. ``_constraint_gcd``
+reads the witness equations off the coefficients of P at its center; they
+are compared with the X-basis equations solved in sympy. These tests also
+check that the fallback gives the same verdicts when no prime certifies
+anything.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from uniqpoly import criteria, polynomials
 from uniqpoly.classify import _constraint_gcd, classify, consistency_audit
 from uniqpoly.criteria import critical_structure
 from uniqpoly.polynomials import (
+    GCD_PRIMES,
     Poly,
     X,
-    gcd_degree_mod_p,
-    poly_gcd,
+    _squarefree_mod,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -90,32 +91,6 @@ def test_separation_matches_the_discriminant():
         assert not critical_structure(p).is_separated, p
 
 
-def test_gcd_degree_bounds_the_rational_gcd():
-    rng = random.Random(5)
-    for _ in range(40):
-        common = _rational(rng, rng.randint(0, 3)).monic()
-        f = (common * _rational(rng, rng.randint(1, 5))).monic()
-        g = common * _rational(rng, rng.randint(0, 5))
-        bound = gcd_degree_mod_p(f, g)
-        assert bound is not None
-        assert bound >= poly_gcd(f, g).degree >= common.degree
-        assert bound == sympy.gcd(_to_sympy(f), _to_sympy(g)).degree()
-
-
-def test_gcd_degree_skips_unusable_primes(monkeypatch):
-    f = X**2 - Q(4, 9)
-    # 3 divides a denominator of f, 5 the numerator of lc(5 f)
-    monkeypatch.setattr(polynomials, "GCD_PRIMES", (3,))
-    assert gcd_degree_mod_p(f, f.derivative()) is None
-    assert gcd_degree_mod_p(X - 1, f) is None
-    monkeypatch.setattr(polynomials, "GCD_PRIMES", (5,))
-    assert gcd_degree_mod_p(5 * f, X) is None
-    # the first prime that qualifies answers
-    monkeypatch.setattr(polynomials, "GCD_PRIMES", (3, 5, 2**61 - 1))
-    assert gcd_degree_mod_p(5 * f, 3 * X - 2) == 1
-    assert gcd_degree_mod_p(5 * f, 3 * X + 1) == 0
-
-
 def _equations(p: Poly) -> list:
     """The coefficient equations of P(beta X + gamma) = beta^n P(X), in sympy."""
     x, b = sympy.symbols("x b")
@@ -135,7 +110,10 @@ def test_constraint_gcd_matches_sympy():
               X**9 + X**3, X**6 - 2 * X**2, X**2, X**3 + 3 * X**2 + 3 * X]
     inputs += [_dense(rng, rng.randint(2, 12)) for _ in range(20)]
     inputs += [_rational(rng, rng.randint(2, 9)) for _ in range(10)]
-    inputs += [_dense(rng, 24)]
+    inputs += [_dense(rng, 24), _dense(rng, 40)]
+    # centers that are not integers, one input a pure power about its center
+    inputs += [(X**6 + X**3 + 1).taylor_shift(Q(-7, 3)) * Q(5, 2),
+               (X**9 + 2 * X**3).taylor_shift(Q(1, 2)), (X - Q(1, 3)) ** 5]
     for p in inputs:
         want = Poly(())
         eqs = _equations(p)
@@ -164,8 +142,6 @@ def test_exact_fallback_when_no_prime_answers(monkeypatch):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
     monkeypatch.setattr(criteria, "separated_mod_p", lambda rad, p: False)
-    monkeypatch.setattr(criteria, "gcd_degree_mod_p", lambda f, g: None)
-    monkeypatch.setattr(classify_mod, "gcd_degree_mod_p", lambda f, g: None)
     exact = criteria.poly_gcd
     separation_gcds = []
 
@@ -183,11 +159,20 @@ def test_exact_fallback_when_the_prime_divides_a_denominator(monkeypatch):
     want = [_results(p) for p in inputs]
     monkeypatch.setattr(polynomials, "GCD_PRIMES", (3,))
     assert [_results(p) for p in inputs] == want
+    # inputs whose value polynomial has no image modulo 3
     skipped = [p for p, (_, cs, _) in zip(inputs, want)
-               if gcd_degree_mod_p(cs.separation_poly,
-                                   cs.separation_poly.derivative()) is None]
+               if any(c.denominator % 3 == 0
+                      for c in cs.separation_poly.coeffs)]
     assert X**3 - X in skipped  # its value polynomial is t^2 - 4/27
     assert len(skipped) >= 3
+
+
+def test_squarefree_mod():
+    q = GCD_PRIMES[0]
+    assert not _squarefree_mod([1, 0, 3], 3)  # q divides lc
+    assert not _squarefree_mod([1, 0, 0, 1], 3)  # f' = 3X^2 vanishes mod 3
+    assert not _squarefree_mod([2, -3, 0, 1], q)  # (X - 1)^2 (X + 2)
+    assert _squarefree_mod([-2, 0, 1], q)
 
 
 def test_constraint_gcd_stops_at_beta_minus_one(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction as Q
@@ -498,6 +499,24 @@ def test_witness_subcommand(capsys):
     code, out, _ = run_cli(capsys, "witness", "X^4+X+1")
     rep = json.loads(out)
     assert rep["witnesses"] == {"any_c": None, "c_equals_1": None}
+
+    code, out, _ = run_cli(capsys, "witness", "X+1")
+    witnesses = json.loads(out)["witnesses"]
+    assert witnesses["c_equals_1"] is None
+    assert witnesses["any_c"]["beta"] == "-1"
+
+
+def test_witness_on_1000_bit_coefficients_is_fast(capsys):
+    # the witness equations used to expand P(beta X + gamma) over these
+    # coefficients, which took 11 s
+    rng = random.Random(0)
+    r, s = (rng.getrandbits(1000) | 1 | 1 << 999 for _ in range(2))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "witness", "--",
+                           f"1/64*X^64 - {r}/{s}*X^63*1/63 + 1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["witnesses"] == {"any_c": None, "c_equals_1": None}
 
 
 def test_selftest_fast(capsys):
