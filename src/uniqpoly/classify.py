@@ -654,7 +654,6 @@ def _constraint_gcd(p: Poly) -> Poly:
             if g.degree == 1:
                 return g
     return g
-    return g
 
 
 def _strip_root(g: Poly, root: Fraction) -> Poly:

@@ -33,7 +33,7 @@ from .polynomials import (
     poly_gcd,
     radical,
     resultant,
-    separated_mod_p,
+    separation_mod_p,
     squarefree_parts,
 )
 
@@ -160,9 +160,11 @@ def _separation_poly(rad: Poly, p: Poly) -> Poly:
 def critical_structure(p: Poly) -> CriticalStructure:
     """Critical points, profile and separation of P.
 
-    Separation is decided modulo a prime (``separated_mod_p``); the exact
-    value polynomial is built only when no prime certifies it, or later
-    when ``separation_poly`` is first read.
+    Separation and the absence of a zero critical value are decided from
+    the value polynomial modulo a prime (``separation_mod_p``). The exact
+    value polynomial is built only when no prime certifies separation, or
+    later when ``separation_poly`` is first read, and the exact resultant
+    Res(rad, P) runs only when neither settles whether 0 is a value.
     """
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
@@ -171,11 +173,19 @@ def critical_structure(p: Poly) -> CriticalStructure:
     rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
     profile = sorted((mult for factor, mult in parts
                       for _ in range(factor.degree)), reverse=True)
-    separated = separated_mod_p(rad, p)
+    separated, zero_free = separation_mod_p(rad, p) or (False, False)
     sep = None
     if not separated:
         sep = _separation_poly(rad, p)
         separated = poly_gcd(sep, sep.derivative()).degree == 0
+    # sep(0) = (-1)^l Res(rad, P), so 0 is a critical value exactly when
+    # the constant term of the value polynomial vanishes
+    if zero_free:
+        has_zero_value = False
+    elif sep is not None:
+        has_zero_value = sep.coeff(0) == 0
+    else:
+        has_zero_value = resultant(rad, p) == 0
     cs = CriticalStructure(
         polynomial=p,
         derivative=dp,
@@ -183,8 +193,7 @@ def critical_structure(p: Poly) -> CriticalStructure:
         count=rad.degree,
         profile=tuple(profile),
         is_separated=separated,
-        # sep(0) = (-1)^l Res(rad, P), so one resultant answers for 0
-        has_zero_value=resultant(rad, p) == 0,
+        has_zero_value=has_zero_value,
     )
     if sep is not None:
         cs.__dict__["separation_poly"] = sep  # where cached_property keeps it

@@ -112,10 +112,13 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {what}", offset, expected)
 
-    def bounded(self, p: Poly, offset: int) -> Poly:
-        if any(_bits(c) > MAX_COEFF_BITS for c in p.coeffs):
+    def check(self, coeffs, offset: int) -> None:
+        if any(c and _bits(c) > MAX_COEFF_BITS for c in coeffs):
             raise ParseError(
                 f"coefficient exceeds {MAX_COEFF_BITS} bits", offset)
+
+    def bounded(self, p: Poly, offset: int) -> Poly:
+        self.check(p.coeffs, offset)
         return p
 
     def expr(self) -> Poly:
@@ -123,7 +126,11 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.take()
             t = self.term()
-            acc = self.bounded(acc + t if op == "+" else acc - t, offset)
+            acc = acc + t if op == "+" else acc - t
+            # only the coefficients t touches can have changed; the rest
+            # were checked when acc was built, so this fails at the same
+            # operator as checking every coefficient would
+            self.check((acc.coeff(e) for e in t.support()), offset)
         return acc
 
     def term(self) -> Poly:

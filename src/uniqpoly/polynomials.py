@@ -7,13 +7,15 @@ stripped, so the zero polynomial is the empty tuple. Every operation is exact
 The resultant uses a subresultant pseudo-remainder sequence over cleared
 integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
 algorithm, interpolation uses Newton's divided differences, and the
-cyclotomic polynomial Phi_r comes from exact division of X^r - 1. One
-helper tests squarefreeness modulo a prime, by Euclid on f and f' in F_q.
-The value polynomial of the critical points is built modulo a prime near
-2^61 and certified squarefree there, and rational roots come from roots
-modulo a small prime where the input stays squarefree, lifted by
-Hensel's lemma. The test suite checks the resultant against a
-Sylvester-determinant oracle.
+cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Sums
+and products skip zero coefficients, so building a polynomial term by
+term costs in proportion to its terms. One helper tests squarefreeness
+modulo a prime, by Euclid on f and f' in F_q. The value polynomial of
+the critical points is built modulo a prime below 2^15; that one image
+certifies it squarefree and, by its constant term, every critical value
+nonzero. Rational roots come from roots modulo a small prime where the
+input stays squarefree, lifted by Hensel's lemma. The test suite checks
+the resultant against a Sylvester-determinant oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 Q = Fraction
 
@@ -88,15 +90,21 @@ class Poly:
     # ring operations
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coeff(i) + other.coeff(i) for i in range(n)]
+        # copy the longer operand and add in the nonzero terms of the
+        # shorter, so adding a monomial costs one addition
+        a, b = self.coeffs, _coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            if c:
+                cs[i] += c
         return Poly(_strip(cs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-c if c else c for c in self.coeffs))
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -108,16 +116,19 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly(())
-            return Poly(tuple(Q(other) * c for c in self.coeffs))
+            other = Q(other)
+            return Poly(tuple(other * c if c else c for c in self.coeffs))
         other = _coerce(other)
         if self.is_zero or other.is_zero:
             return Poly(())
         cs = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # only nonzero pairs contribute, so a monomial factor costs one
+        # product per term of the other
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
+            if a:
+                for j, b in right:
+                    cs[i + j] += a * b
         return Poly(_strip(cs))
 
     __rmul__ = __mul__
@@ -290,8 +301,10 @@ def _int_gcd(A: list[int], B: list[int]) -> list[int]:
     return [x // c for x in A]
 
 
-# primes just below 2^61 for the squarefree certificates modulo a prime
-GCD_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+# the three largest primes below 2^15, for the certificates modulo a
+# prime: residues stay below 2^15, so every product of two residues fits
+# in one 30-bit digit of a CPython int
+GCD_PRIMES = (32749, 32719, 32717)
 
 
 def _reduce_mod(f: Poly, p: int) -> list[int]:
@@ -365,8 +378,8 @@ def _newton_mod(values: Sequence[int], p: int) -> list[int]:
     return acc
 
 
-def separated_mod_p(rad: Poly, p: Poly) -> bool:
-    """True when the value polynomial of P is squarefree modulo a prime.
+def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
+    """(squarefree, zero_free) for the value polynomial modulo a prime.
 
     The value polynomial is sep(t) = Res_X(rad, t - P), the product of
     t - P(alpha) over the roots alpha of the monic rad. With q the first
@@ -374,8 +387,10 @@ def separated_mod_p(rad: Poly, p: Poly) -> bool:
     of rad or P, every P(alpha) is integral at q, so sep mod q is the
     interpolant of the l + 1 resultants Res(rad, t - (P mod rad)) in F_q
     at t = 0..l, monic of degree l. Since sep is monic, squarefree mod q
-    makes it squarefree over Q: the critical values are distinct. False
-    means only that no prime certified it.
+    makes it squarefree over Q: the critical values are distinct. Since
+    sep(0) = (-1)^l Res(rad, P), a constant term nonzero mod q makes
+    every critical value nonzero. A False in either place means only
+    that q certified nothing; None means no prime was usable.
     """
     l = rad.degree
     for q in GCD_PRIMES:
@@ -391,8 +406,8 @@ def separated_mod_p(rad: Poly, p: Poly) -> bool:
         if _ideg(sep) != l or sep[-1] != 1:
             raise RuntimeError(
                 f"value polynomial modulo {q} must be monic of degree {l}")
-        return _squarefree_mod(sep, q)
-    return False
+        return _squarefree_mod(sep, q), sep[0] != 0
+    return None
 
 
 def resultant(p: Poly, q: Poly) -> Fraction:

@@ -1,8 +1,10 @@
 """Certificates modulo a prime, and the witness equations, against sympy.
 
 ``critical_structure`` decides separation by building the monic value
-polynomial modulo a large prime and checking it squarefree there
-(``_squarefree_mod``), and falls back to the exact gcd. ``_constraint_gcd``
+polynomial modulo a prime below 2^15 and checking it squarefree there
+(``_squarefree_mod``), and falls back to the exact gcd. The constant term
+of the same image certifies that no critical value is 0; the exact
+resultant Res(rad P', P) runs only when it does not. ``_constraint_gcd``
 reads the witness equations off the coefficients of P at its center; they
 are compared with the X-basis equations solved in sympy. These tests also
 check that the fallback gives the same verdicts when no prime certifies
@@ -141,7 +143,7 @@ def _inputs_with_denominators() -> list[Poly]:
 def test_exact_fallback_when_no_prime_answers(monkeypatch):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
-    monkeypatch.setattr(criteria, "separated_mod_p", lambda rad, p: False)
+    monkeypatch.setattr(criteria, "separation_mod_p", lambda rad, p: None)
     exact = criteria.poly_gcd
     separation_gcds = []
 
@@ -200,9 +202,10 @@ def test_degree_64_classify_is_fast():
     assert consistency_audit(p, v)["ok"]
 
 
-def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
-    calls = {"resultant": 0, "lagrange_interpolate": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names: str) -> dict:
+    """Count the calls ``critical_structure`` makes to these names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(criteria, name)
 
         def counted(*args, _name=name, _original=original):
@@ -210,13 +213,54 @@ def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(criteria, name, counted)
+    return calls
+
+
+def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
+    calls = _count_calls(monkeypatch, "resultant", "lagrange_interpolate")
     p = _dense(random.Random(20), 20)
     cs = critical_structure(p)
     assert cs.is_separated
-    # the parent built sep from l + 1 resultants and one interpolation
-    assert calls == {"resultant": 1, "lagrange_interpolate": 0}
+    # neither separation nor the zero value needed an exact resultant
+    assert calls == {"resultant": 0, "lagrange_interpolate": 0}
     x = sympy.Symbol("x")
     want = sympy.resultant(_to_sympy(cs.radical, x).as_expr(),
                            T - _to_sympy(p, x).as_expr(), x)
     assert cs.separation_poly == _from_sympy(sympy.Poly(want, T, domain="QQ"))
-    assert calls == {"resultant": 1 + cs.count + 1, "lagrange_interpolate": 1}
+    assert calls == {"resultant": cs.count + 1, "lagrange_interpolate": 1}
+
+
+def test_separated_input_takes_no_exact_step(monkeypatch):
+    calls = _count_calls(monkeypatch, "resultant", "poly_gcd")
+    rng = random.Random(21)
+    for _ in range(3):
+        cs = critical_structure(_dense(rng, 20))
+        assert cs.is_separated and not cs.has_zero_value
+    assert calls == {"resultant": 0, "poly_gcd": 0}
+
+
+def _zero_valued() -> list[Poly]:
+    rng = random.Random(17)
+    out = [X**3 - 3 * X + 2, X**5 + X**2, (X - 1) ** 2 * (X + 2),
+           X**4 - 2 * X**2 + 1, X**6 - 2 * X**2]
+    for _ in range(6):
+        a = Q(rng.randint(-5, 5), rng.randint(1, 4))
+        k = rng.randint(2, 4)
+        out.append((X - a) ** k * _rational(rng, rng.randint(1, 6)))
+    return out
+
+
+def test_zero_value_matches_the_exact_resultant():
+    rng = random.Random(19)
+    zero_valued = _zero_valued()
+    # lambda P(X + s) has the critical values of P times lambda
+    zero_valued += [
+        p.taylor_shift(Q(rng.randint(-7, 7), rng.randint(1, 5)))
+        * Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+        for p in list(zero_valued)]
+    others = _separated_inputs()[:20] + _non_separated()[:8]
+    for p in zero_valued + others:
+        cs = critical_structure(p)
+        assert cs.has_zero_value == (
+            polynomials.resultant(cs.radical, p) == 0), p
+    assert all(critical_structure(p).has_zero_value for p in zero_valued)

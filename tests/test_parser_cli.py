@@ -132,6 +132,18 @@ def test_literal_and_coefficient_bounds():
         assert exc.value.offset == offset, text
 
 
+def test_sums_fail_at_the_first_overflowing_operator():
+    # a sum checks only the coefficients its right-hand term touches,
+    # which must name the same operator as checking all of them
+    for text, offset in (("2^4095*X + 2^4095*X", 9),
+                         ("X^3 + 2^4095*X^2 + 1 + 2^4095*X^2", 21),
+                         ("2^4095*X - 2^4095 - 2^4095", 18),
+                         ("(2^4095*X + 1)*2", 14)):
+        with pytest.raises(ParseError, match=f"{MAX_COEFF_BITS} bits") as exc:
+            parse_poly(text)
+        assert exc.value.offset == offset, text
+
+
 def test_format_round_trip_pins():
     pins = [
         X**4 + X + 1,

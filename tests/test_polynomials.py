@@ -192,3 +192,40 @@ def test_property_divmod():
         quot, rem = divmod(p, q)
         assert quot * q + rem == p
         assert rem.is_zero or rem.degree < q.degree
+
+
+def _dense_sum(p: Poly, q: Poly) -> tuple:
+    n = max(len(p.coeffs), len(q.coeffs))
+    cs = [p.coeff(i) + q.coeff(i) for i in range(n)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _dense_product(p: Poly, q: Poly) -> tuple:
+    if p.is_zero or q.is_zero:
+        return ()
+    cs = [Q(0)] * (p.degree + q.degree + 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            cs[i + j] += a * b
+    return tuple(cs)
+
+
+def test_ring_ops_match_a_dense_reference():
+    # sums and products skip zero coefficients; the reference visits all
+    rng = random.Random(9)
+
+    def sparse() -> Poly:
+        return Poly.from_support({
+            rng.randint(0, 12): Q(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 4))})
+
+    for _ in range(300):
+        p, q = sparse(), sparse()
+        if rng.random() < 0.2:
+            q = q - p  # cancels p's terms, the top one included
+        assert (p + q).coeffs == _dense_sum(p, q), (p, q)
+        assert (p - q).coeffs == _dense_sum(p, -q), (p, q)
+        assert (p * q).coeffs == _dense_product(p, q), (p, q)
+        assert (p * Q(3, 2)).coeffs == _dense_product(p, Poly.of(Q(3, 2)))
