@@ -1,8 +1,11 @@
 """Exact univariate polynomial arithmetic over Q.
 
 Dense representation: ``coeffs[i]`` is the coefficient of X^i, trailing zeros
-stripped, so the zero polynomial is the empty tuple. Every operation is exact
-(fractions.Fraction); nothing here rounds.
+stripped, so the zero polynomial is the empty tuple. Coefficients are
+fractions.Fraction and every operation is exact; nothing here rounds. The
+Taylor shift P(X + u/v) runs on integer numerators: synthetic division by
+the integer u on the coefficients of v^n D P(X/v), D their common
+denominator, then one division per coefficient.
 
 The resultant uses a subresultant pseudo-remainder sequence over cleared
 integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
@@ -187,16 +190,26 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(X)), by Horner over the polynomial ring."""
-        acc = Poly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.of(c)
-        return acc
-
     def taylor_shift(self, a) -> "Poly":
-        """P(X + a)."""
-        return self.compose(Poly.of(Q(a), 1))
+        """P(X + a), by synthetic division on integers.
+
+        With a = u/v and D the lcm of the denominators, s_i = D a_i
+        v^(n-i) are the coefficients of the integer polynomial
+        v^n D P(X/v); shifting it by the integer u leaves coefficient j
+        of P(X + a) as s_j / (v^(n-j) D).
+        """
+        a = Q(a)
+        n = self.degree
+        if a == 0 or n < 1:
+            return self
+        u, v = a.numerator, a.denominator
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        s = [c.numerator * (den // c.denominator) * v ** (n - i)
+             for i, c in enumerate(self.coeffs)]
+        for k in range(n):
+            for i in range(n - 1, k - 1, -1):
+                s[i] += u * s[i + 1]
+        return Poly(tuple(Q(c, den * v ** (n - j)) for j, c in enumerate(s)))
 
     def scale_input(self, c) -> "Poly":
         """P(c X)."""

@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 import pytest
 
 from uniqpoly import cli
+from uniqpoly.classify import classify, consistency_audit
 from uniqpoly.parser import (
     MAX_COEFF_BITS,
     MAX_LITERAL_DIGITS,
@@ -529,6 +530,19 @@ def test_witness_on_1000_bit_coefficients_is_fast(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert json.loads(out)["witnesses"] == {"any_c": None, "c_equals_1": None}
+
+
+def test_classify_and_audit_on_1000_bit_coefficients_are_fast():
+    # every centered form of this input is a Taylor shift by a 1,000-bit
+    # rational, which takes about 12 s by Horner's rule over Fraction
+    # polynomials
+    rng = random.Random(0)
+    r, s = (rng.getrandbits(1000) | 1 | 1 << 999 for _ in range(2))
+    p = parse_poly(f"1/64*X^64 - {r}/{s}*X^63*1/63 + 1")
+    start = time.perf_counter()
+    verdict = classify(p)
+    assert consistency_audit(p, verdict)["ok"]
+    assert time.perf_counter() - start < 4.0
 
 
 def test_selftest_fast(capsys):

@@ -95,12 +95,13 @@ def test_derivative_and_shift():
     assert p.scale_input(3).evaluate(1) == p.evaluate(3)
 
 
-def test_compose():
-    p = X**2 + 1
-    inner = 2 * X - 1
-    assert p.compose(inner) == 4 * X**2 - 4 * X + 2
-    for x in (0, 1, Q(5, 3)):
-        assert p.compose(inner).evaluate(x) == p.evaluate(inner.evaluate(x))
+def test_taylor_shift_evaluates_at_shifted_points():
+    p = Q(3, 4) * X**3 + X**2 - Q(1, 6)
+    assert p.taylor_shift(Q(-1, 2)) == (
+        Q(3, 4) * X**3 - Q(1, 8) * X**2 - Q(7, 16) * X - Q(1, 96))
+    for a in (0, 3, -2, Q(5, 3), Q(-7, 2)):
+        for x in (0, 1, Q(5, 3)):
+            assert p.taylor_shift(a).evaluate(x) == p.evaluate(x + a)
 
 
 def test_gcd_disjoint_roots():
