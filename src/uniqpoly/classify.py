@@ -435,7 +435,7 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     profile = cs.profile
     mn = profile[-1] if profile else 0
     flags = exceptional_flags(cs)
-    sym = affine_symmetry(p)
+    sym = affine_symmetry(p, idx, cs)
     rigid = sym is None
     no_linear = (
         "no rotation fixes the centered support"
@@ -533,32 +533,15 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
 
 
 def _rigidity_witness(p: Poly, sym) -> Witness:
-    """Witness for a zero set preserved by a nontrivial rotation.
+    """Witness for a zero set that a nontrivial rotation permutes.
 
-    When the rotation carries the whole polynomial to a multiple of
-    itself the witness is the verified linear identity; when it only
-    permutes the zero set (multiplicities mismatch), it is recorded as
-    the named exception with the radical identity as certificate.
+    The rotation never carries P to a multiple of itself here: P's center
+    would then be the rotation's, and the support rules would already have
+    decided the strong verdicts. So the witness is the named exception with
+    the radical identity as certificate.
     """
     g, mu = sym.order, sym.center
-    if g < 2:
-        # order 0 marks a single distinct root, a pure-power translate,
-        # which the rotation rule closes long before this point
-        raise RuntimeError("degenerate zero-set symmetry reached the "
-                           "profile route")
-    shifted = p.taylor_shift(mu)
-    residues = {i % g for i in shifted.support()}
-    if len(residues) == 1:
-        e = residues.pop()
-        if e % g == 0:
-            raise RuntimeError(
-                "value-preserving rotation escaped the support rule")
-        w = _scaling_witness(g, e, mu)
-        if not verify_witness(p, w):
-            raise RuntimeError("rigidity witness failed to replay")
-        return w
-    rad = radical(p).taylor_shift(mu)
-    k = rad.degree
+    k = sym.radical_support[-1]
     w = Witness(
         kind="paper-exception",
         case="zero-set-symmetry",
@@ -567,7 +550,7 @@ def _rigidity_witness(p: Poly, sym) -> Witness:
         identity=f"rad(z(X - {mu}) + {mu}) = z^{k % g} rad(X) "
                  f"for z of order {g}",
         certificates={"order": g, "center": str(mu),
-                      "radical_support": list(rad.support())},
+                      "radical_support": list(sym.radical_support)},
     )
     if not verify_witness(p, w):
         raise RuntimeError("zero-set symmetry failed to replay")

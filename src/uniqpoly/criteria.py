@@ -48,8 +48,6 @@ class NormalForm:
     centered: Poly  # monic, no X^{n-1} term
     shift: Fraction  # centered(X) = original(X + shift) / scale
     scale: Fraction
-    condition_a: bool  # X^{n-2} coefficient vanishes after centering
-    condition_b: bool  # X^{n-2} and X^{n-3} coefficients both vanish
 
 
 def normalize(p: Poly) -> NormalForm:
@@ -59,9 +57,7 @@ def normalize(p: Poly) -> NormalForm:
     scale = p.lc
     shift = -p.coeff(n - 1) / (n * scale)
     centered = p.taylor_shift(shift) * (1 / scale)
-    cond_a = n >= 2 and centered.coeff(n - 2) == 0
-    cond_b = cond_a and n >= 3 and centered.coeff(n - 3) == 0
-    return NormalForm(p, centered, shift, scale, cond_a, cond_b)
+    return NormalForm(p, centered, shift, scale)
 
 
 # extended gcd over a set of integers, witnessing gcd as a Z-combination
@@ -135,7 +131,8 @@ class CriticalStructure:
     count: int  # number of distinct critical points (degree of radical)
     profile: tuple[int, ...]  # critical-point multiplicities in P', descending
     is_separated: bool  # all critical values distinct
-    has_zero_value: bool  # some critical value equals 0
+    # some critical value equals 0; equivalently, P has a repeated root
+    has_zero_value: bool
 
     @cached_property
     def separation_poly(self) -> Poly:
@@ -163,8 +160,9 @@ def critical_structure(p: Poly) -> CriticalStructure:
     Separation and the absence of a zero critical value are decided from
     the value polynomial modulo a prime (``separation_mod_p``). The exact
     value polynomial is built only when no prime certifies separation, or
-    later when ``separation_poly`` is first read, and the exact resultant
-    Res(rad, P) runs only when neither settles whether 0 is a value.
+    later when ``separation_poly`` is first read. When neither settles
+    whether 0 is a value, gcd(rad, P) does: 0 is a critical value exactly
+    when rad and P share a root.
     """
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
@@ -185,7 +183,7 @@ def critical_structure(p: Poly) -> CriticalStructure:
     elif sep is not None:
         has_zero_value = sep.coeff(0) == 0
     else:
-        has_zero_value = resultant(rad, p) == 0
+        has_zero_value = poly_gcd(rad, p).degree > 0
     cs = CriticalStructure(
         polynomial=p,
         derivative=dp,
@@ -206,29 +204,28 @@ def critical_structure(p: Poly) -> CriticalStructure:
 class AffineSymmetry:
     center: Fraction
     order: int  # 0 means every rotation about the center (single distinct root)
+    radical_support: tuple[int, ...]  # support of the centered monic radical
 
 
-def affine_symmetry(p: Poly) -> Optional[AffineSymmetry]:
+def affine_symmetry(p: Poly, idx: IndexData,
+                    cs: CriticalStructure) -> Optional[AffineSymmetry]:
     """Largest group of affine maps permuting the distinct roots of p.
 
     Any finite affine symmetry of a set with at least two points is a
     root-of-unity rotation about the set's centroid, so the group is cyclic
-    and determined by its order. Returns None when only the identity works.
+    and determined by its order. With R0 the centered radical, of degree k
+    and support I, a rotation z permutes the roots exactly when
+    z^(k - i) = 1 for every i in I, and gcd(k - I) = gcd(I - min I) since k
+    lies in I: the order is the projective symmetry order of the radical's
+    ``index_data``. P has a repeated root exactly when 0 is a critical
+    value, so otherwise the radical is P / lc(P) and ``idx`` already holds
+    it. Returns None when only the identity works.
     """
-    if p.degree < 1:
-        raise ValueError("affine symmetry needs degree at least 1")
-    rad = radical(p)
-    k = rad.degree
-    if k == 1:
-        return AffineSymmetry(center=-rad.coeff(0), order=0)
-    mu = -rad.coeff(k - 1) / k
-    shifted = rad.taylor_shift(mu)
-    g = 0
-    for i in shifted.support():
-        g = math.gcd(g, k - i)
-    if g <= 1:
+    rad_idx = index_data(radical(p)) if cs.has_zero_value else idx
+    g = rad_idx.projective_symmetry_order
+    if g == 1:
         return None
-    return AffineSymmetry(center=mu, order=g)
+    return AffineSymmetry(rad_idx.center, g, rad_idx.support)
 
 
 # linear factors of the value-sharing curves

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .polynomials import Poly
 from .trivariate import TriPoly, homogenize_x, homogenize_y, tri

@@ -24,7 +24,7 @@ re-evaluated at random admissible integer branch orders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .curves import Configuration

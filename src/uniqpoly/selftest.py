@@ -14,7 +14,6 @@ between independent routes is the point.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass

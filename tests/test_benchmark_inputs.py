@@ -9,22 +9,31 @@ verdict, zero-value answer, profile and radical when the modular helper
 answers as when it is forced off and the exact value polynomial decides.
 On every parseable input of all three workloads, ``normalize`` must give
 the centered form that Horner's rule over Fraction coefficients gives.
+Two count tests pin the work: ``classify`` takes no radical on an input
+with no zero critical value, and the zero-valued degree-64 input
+-3/7 P(X + 4/5) gets ``has_zero_value`` without an exact resultant.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from uniqpoly import criteria
 from uniqpoly.parser import DegreeCapError, ParseError, parse_poly
+from uniqpoly.polynomials import Poly
+
+# the package re-exports the function classify under the module's name
+classify_mod = importlib.import_module("uniqpoly.classify")
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
-def _benchmark_inputs(*workloads: str) -> list:
+def _gen():
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
     gen = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the class is being built
@@ -33,6 +42,11 @@ def _benchmark_inputs(*workloads: str) -> list:
         spec.loader.exec_module(gen)
     finally:
         del sys.modules[spec.name]
+    return gen
+
+
+def _benchmark_inputs(*workloads: str) -> list:
+    gen = _gen()
     out = []
     items = [item for name in workloads for item in getattr(gen, name)(0)]
     for item in items:
@@ -87,3 +101,41 @@ def test_centered_form_matches_a_horner_shift():
     assert len(inputs) == 96 + 21 + 9
     for p in inputs:
         assert criteria.normalize(p).centered.coeffs == _horner_centered(p), p
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_without_a_zero_value_takes_no_radical(monkeypatch):
+    # with no zero critical value P is squarefree, so its zero-set symmetry
+    # is read off index_data(P) and no radical is taken
+    inputs = _benchmark_inputs("batch_small", "degree_ladder", "curve_census")
+    inputs = [p for p in inputs
+              if not criteria.critical_structure(p).has_zero_value]
+    assert len(inputs) >= 100
+    calls = _count_calls(monkeypatch, criteria, "radical")
+    calls += _count_calls(monkeypatch, classify_mod, "radical")
+    for p in inputs:
+        classify_mod.classify(p)
+    assert calls == []
+
+
+def test_zero_valued_degree_64_takes_no_exact_resultant(monkeypatch):
+    gen = _gen()
+    p = Poly([Fraction(c) for c in gen.random_dense(random.Random(0), 64,
+                                                    False)])
+    assert p.coeff(0) == p.coeff(1) == 0  # X^2 divides P: 0 is a value
+    p = p.taylor_shift(Fraction(4, 5)) * Fraction(-3, 7)
+    calls = _count_calls(monkeypatch, criteria, "resultant")
+    cs = criteria.critical_structure(p)
+    assert cs.is_separated and cs.has_zero_value
+    assert calls == []  # the exact Res(rad P', P) took 1.6 s here

@@ -299,6 +299,12 @@ def test_classify_computes_index_data_once(monkeypatch):
         calls.clear()
         classify(p)
         assert len(calls) == 1
+    # a separated P with a zero critical value has a repeated root, so the
+    # zero-set symmetry needs the index data of its radical as well
+    p = X * (X - 1) ** 2 * (X + 1)
+    calls.clear()
+    classify(p)
+    assert calls == [(p,), (X**3 - X,)]
 
 
 def test_audit_builds_constraint_gcd_once(monkeypatch):

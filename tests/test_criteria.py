@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from uniqpoly.criteria import (
+    AffineSymmetry,
     LinearFactor,
     affine_symmetry,
     critical_structure,
@@ -16,7 +19,7 @@ from uniqpoly.criteria import (
     normalize,
     exceptional_flags,
 )
-from uniqpoly.polynomials import Poly, X
+from uniqpoly.polynomials import Poly, X, radical
 
 
 def test_normalize_identity_and_shift():
@@ -145,21 +148,80 @@ def test_non_monic_modular_image_is_an_error(monkeypatch):
         critical_structure(X**4 + X + 1)
 
 
+def _symmetry(p: Poly):
+    return affine_symmetry(p, index_data(p), critical_structure(p))
+
+
 def test_affine_symmetry_orders():
-    s = affine_symmetry(X**3 - X)
+    s = _symmetry(X**3 - X)
     assert s is not None and s.order == 2 and s.center == 0
-    s = affine_symmetry(X**3 - 1)
+    s = _symmetry(X**3 - 1)
     assert s is not None and s.order == 3 and s.center == 0
-    assert affine_symmetry(X * (X - 1) * (X - 3)) is None
+    assert _symmetry(X * (X - 1) * (X - 3)) is None
     # multiplicities do not matter for the root-set symmetry
-    s = affine_symmetry(X**2 * (X - 1) ** 5 * (X + 1))
+    s = _symmetry(X**2 * (X - 1) ** 5 * (X + 1))
     assert s is not None and s.order == 2 and s.center == 0
     # single distinct root admits every rotation
-    s = affine_symmetry((X - 2) ** 4)
+    s = _symmetry((X - 2) ** 4)
     assert s is not None and s.order == 0 and s.center == 2
 
-    off = affine_symmetry(X**2 - 2 * X + 5)  # roots 1 +- 2i, centered at 1
+    off = _symmetry(X**2 - 2 * X + 5)  # roots 1 +- 2i, centered at 1
     assert off is not None and off.center == 1 and off.order == 2
+
+
+def _reference_symmetry(p: Poly):
+    """The zero-set symmetry computed directly: the monic radical, shifted
+    to its centroid mu, and the gcd of k - i over its support."""
+    rad = radical(p)
+    k = rad.degree
+    if k == 1:
+        return AffineSymmetry(-rad.coeff(0), 0, (1,))
+    mu = -rad.coeff(k - 1) / k
+    shifted = rad.taylor_shift(mu)
+    g = 0
+    for i in shifted.support():
+        g = math.gcd(g, k - i)
+    if g <= 1:
+        return None
+    return AffineSymmetry(mu, g, shifted.support())
+
+
+def _symmetry_corpus() -> list[Poly]:
+    rng = random.Random(11)
+    out = [X * (X - 1) ** 2 * (X + 1), (X - 2) ** 4, X**3 - X,
+           (X**2 + 1) ** 2 * (X**2 - 1), (X**3 - 2) * X**2]
+    for _ in range(120):
+        p = Poly.of(1)
+        r = rng.choice([1, 2, 3, 4])
+        top = rng.choice([1, 3])  # about half the products are squarefree
+        for _ in range(rng.randint(1, 3)):
+            a = Q(rng.randint(-4, 4), rng.randint(1, 3))
+            base = rng.choice([X - a, X**r - a, X**r + X, X**2 + a])
+            p = p * base ** rng.randint(1, top)
+        if rng.random() < 0.3:
+            p = p * X ** rng.randint(1, 2)
+        # a shift and a rational scaling move the zero set and its center
+        s = Q(rng.randint(-7, 7), rng.randint(1, 5))
+        c = Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+        p = p.taylor_shift(s) * c
+        if 2 <= p.degree <= 24:
+            out.append(p)
+    return out
+
+
+def test_affine_symmetry_matches_the_shifted_radical():
+    corpus = _symmetry_corpus()
+    assert len(corpus) >= 100
+    repeated = symmetric = 0
+    for p in corpus:
+        cs = critical_structure(p)
+        got = affine_symmetry(p, index_data(p), cs)
+        assert got == _reference_symmetry(p), p
+        repeated += cs.has_zero_value
+        symmetric += got is not None
+    # both routes, squarefree and repeated roots, and both answers occur
+    assert 30 <= repeated <= len(corpus) - 30
+    assert 30 <= symmetric <= len(corpus) - 30
 
 
 def test_linear_factor_scan():
@@ -229,17 +291,3 @@ def test_degree_guards():
         normalize(Poly.of(3))
     with pytest.raises(ValueError):
         critical_structure(X + 1)
-
-
-def test_normalize_conditions():
-    nf = normalize((X + 1) ** 5)
-    assert nf.centered == X**5 and nf.condition_a and nf.condition_b
-
-    nf = normalize(X**3 + X**2)  # X^{n-2} coefficient survives centering
-    assert not nf.condition_a
-
-    nf = normalize(X**5 + X + 1)
-    assert nf.condition_a and nf.condition_b
-
-    nf = normalize(X**5 + X**2 + 1)
-    assert nf.condition_a and not nf.condition_b

@@ -3,8 +3,9 @@
 ``critical_structure`` decides separation by building the monic value
 polynomial modulo a prime below 2^15 and checking it squarefree there
 (``_squarefree_mod``), and falls back to the exact gcd. The constant term
-of the same image certifies that no critical value is 0; the exact
-resultant Res(rad P', P) runs only when it does not. ``_constraint_gcd``
+of the same image certifies that no critical value is 0; when it does not,
+gcd(rad P', P) decides, and the exact resultant Res(rad P', P) stays the
+oracle the tests compare it with. ``_constraint_gcd``
 reads the witness equations off the coefficients of P at its center; they
 are compared with the X-basis equations solved in sympy. These tests also
 check that the fallback gives the same verdicts when no prime certifies
@@ -257,6 +258,18 @@ def _zero_valued() -> list[Poly]:
         k = rng.randint(2, 4)
         out.append((X - a) ** k * _rational(rng, rng.randint(1, 6)))
     return out
+
+
+def test_zero_value_takes_no_exact_resultant(monkeypatch):
+    calls = _count_calls(monkeypatch, "resultant")
+    for p in _zero_valued():
+        calls["resultant"] = 0
+        cs = critical_structure(p)
+        assert cs.has_zero_value, p
+        # a non-separated P builds its exact value polynomial from l + 1
+        # resultants; nothing else takes one
+        assert calls["resultant"] == (0 if cs.is_separated
+                                      else cs.count + 1), p
 
 
 def test_zero_value_matches_the_exact_resultant():
