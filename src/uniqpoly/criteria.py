@@ -158,7 +158,9 @@ def critical_structure(p: Poly) -> CriticalStructure:
     """Critical points, profile and separation of P.
 
     Separation and the absence of a zero critical value are decided from
-    the value polynomial modulo a prime (``separation_mod_p``). The exact
+    the value polynomial modulo a prime (``separation_mod_p``), built from
+    the power sums of the critical values, the traces of P^k mod rad for
+    k <= l, by Newton's identities. The exact
     value polynomial is built only when no prime certifies separation, or
     later when ``separation_poly`` is first read. When neither settles
     whether 0 is a value, gcd(rad, P) does: 0 is a critical value exactly

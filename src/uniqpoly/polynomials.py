@@ -14,8 +14,13 @@ cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Sums
 and products skip zero coefficients, so building a polynomial term by
 term costs in proportion to its terms. One helper tests squarefreeness
 modulo a prime, by Euclid on f and f' in F_q. The value polynomial of
-the critical points is built modulo a prime below 2^15; that one image
-certifies it squarefree and, by its constant term, every critical value
+the critical points is built modulo a prime below 2^15 from power sums:
+Newton's identities give the power sums of the critical points, the
+traces of P^k mod rad P' give those of the critical values, and Newton's
+identities again give the coefficients. Each P^k mod rad P' is one
+product of residue vectors packed into one integer, folded back by a
+packed table of x^(l+i) mod rad P'. That one image certifies the value
+polynomial squarefree and, by its constant term, every critical value
 nonzero. Rational roots come from roots modulo a small prime where the
 input stays squarefree, lifted by Hensel's lemma. The test suite checks
 the resultant against a Sylvester-determinant oracle.
@@ -24,9 +29,12 @@ the resultant against a Sylvester-determinant oracle.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 Q = Fraction
@@ -353,42 +361,69 @@ def _squarefree_mod(f: Sequence[int], q: int) -> bool:
     return _ideg(a) == 0
 
 
-def _res_mod(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) in F_p for a nonzero, by Euclid.
+# residue vectors travel packed into one int, one unsigned long long
+# (at least 64 bits) per coefficient, so array("Q") packs and unpacks
+# them in C
+_SLOT_BYTES = array("Q").itemsize
 
-    Uses Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
-    for r = a mod b.
+
+def _pack(v: Sequence[int]) -> int:
+    return int.from_bytes(array("Q", v).tobytes(), sys.byteorder)
+
+
+def _unpack(x: int, n: int) -> array:
+    return array("Q", x.to_bytes(_SLOT_BYTES * n, sys.byteorder))
+
+
+def _value_poly_mod(r: Sequence[int], a: Sequence[int], q: int) -> list[int]:
+    """Ascending coefficients in F_q of the product of t - a(alpha) over
+    the roots alpha of r, for r monic of degree l < q and deg a < l.
+
+    The product is the characteristic polynomial of multiplication by a
+    in F_q[x]/(r), so its k-th power sum is the trace s_k = Tr(a^k mod r)
+    = sum_j [a^k mod r]_j p_j, with p_j the j-th power sum of the roots
+    of r. Newton's identities give the p_j from r with no division, and
+    the coefficients from the s_k with a division by each k <= l < q
+    (power projection; Bostan, Flajolet, Salvy and Schost, J. Symb.
+    Comput. 41(1), 2006). The leading coefficient is set to 1, not
+    computed, so the result is monic of degree l by construction.
+
+    Each a^k mod r is one product of packed vectors (Kronecker
+    substitution; D. Harvey, J. Symb. Comput. 44(10), 2009), whose
+    coefficients of x^l .. x^(2l-2) are folded back by a packed table of
+    the x^(l+i) mod r: O(l) operations on ints per k.
     """
-    res = 1
-    while len(b) > 1:
-        r = _rem_mod(a, b, p)
-        if not r:
-            return 0
-        da, db = _ideg(a), _ideg(b)
-        if da & db & 1:
-            res = -res
-        res = res * pow(b[-1], da - _ideg(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], _ideg(a), p) % p if b else 0
-
-
-def _newton_mod(values: Sequence[int], p: int) -> list[int]:
-    """Ascending coefficients in F_p of the interpolant of values at 0..l."""
-    dd = list(values)
-    l = len(dd) - 1
+    l = len(r) - 1
+    # Newton's identities for monic f of degree l with power sums s:
+    # k f_(l-k) + sum_(i=1..k) f_(l-k+i) s_i = 0 for k <= l, with f_l = 1
+    p = [l]
+    for k in range(1, l):
+        p.append(-(k * r[l - k] + sum(map(mul, r[l - k + 1:l], p[1:k]))) % q)
+    table = []
+    row = [-c % q for c in r[:-1]]
+    for _ in range(l - 1):
+        table.append(_pack(row))
+        top = row[-1]
+        row = [(x - top * y) % q for x, y in zip([0] + row[:-1], r)]
+    # Every slot stays below 2^46 and so never carries: a product slot
+    # is a sum of at most l products of residues, at most l (q - 1)^2,
+    # and folding adds l - 1 more, so a slot is at most (2l - 1)(q - 1)^2
+    # < 2^46 for l < q < 2^15, well inside a 64-bit slot.
+    v = list(a) + [0] * (l - len(a))
+    packed = _pack(v)
+    width = 8 * _SLOT_BYTES * l
+    low = (1 << width) - 1
+    s = [l, sum(map(mul, v, p)) % q]
+    for _ in range(l - 1):
+        prod = _pack(v) * packed
+        high = [h % q for h in _unpack(prod >> width, l - 1)]
+        v = [c % q for c in _unpack(sum(map(mul, high, table), prod & low), l)]
+        s.append(sum(map(mul, v, p)) % q)
+    sep = [0] * l + [1]
     for k in range(1, l + 1):
-        inv = pow(k, -1, p)  # the nodes are i and i - k
-        for i in range(l, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv % p
-    acc: list[int] = []
-    for k in range(l, -1, -1):
-        # acc := acc * (X - k) + dd[k]
-        nxt = [0] + acc
-        for i, c in enumerate(acc):
-            nxt[i] = (nxt[i] - k * c) % p
-        nxt[0] = (nxt[0] + dd[k]) % p
-        acc = nxt
-    return acc
+        sep[l - k] = (-sum(map(mul, sep[l - k + 1:], s[1:k + 1]))
+                      * pow(k, -1, q) % q)
+    return sep
 
 
 def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
@@ -398,12 +433,13 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
     t - P(alpha) over the roots alpha of the monic rad. With q the first
     prime of ``GCD_PRIMES`` above l = deg rad that divides no denominator
     of rad or P, every P(alpha) is integral at q, so sep mod q is the
-    interpolant of the l + 1 resultants Res(rad, t - (P mod rad)) in F_q
-    at t = 0..l, monic of degree l. Since sep is monic, squarefree mod q
-    makes it squarefree over Q: the critical values are distinct. Since
-    sep(0) = (-1)^l Res(rad, P), a constant term nonzero mod q makes
-    every critical value nonzero. A False in either place means only
-    that q certified nothing; None means no prime was usable.
+    characteristic polynomial of multiplication by P mod rad in
+    F_q[x]/(rad), built from the power sums of its roots by
+    ``_value_poly_mod``, monic of degree l. Since sep is monic,
+    squarefree mod q makes it squarefree over Q: the critical values are
+    distinct. Since sep(0) = (-1)^l Res(rad, P), a constant term nonzero
+    mod q makes every critical value nonzero. A False in either place
+    means only that q certified nothing; None means no prime was usable.
     """
     l = rad.degree
     for q in GCD_PRIMES:
@@ -411,14 +447,7 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
                          for c in rad.coeffs + p.coeffs):
             continue
         r = _reduce_mod(rad, q)
-        low = _rem_mod(_reduce_mod(p, q), r, q) or [0]
-        high = [-c % q for c in low[1:]]  # t - (P mod rad) above degree 0
-        values = [_res_mod(r, [(t - low[0]) % q] + high, q)
-                  for t in range(l + 1)]
-        sep = _istrip(_newton_mod(values, q))
-        if _ideg(sep) != l or sep[-1] != 1:
-            raise RuntimeError(
-                f"value polynomial modulo {q} must be monic of degree {l}")
+        sep = _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q)
         return _squarefree_mod(sep, q), sep[0] != 0
     return None
 

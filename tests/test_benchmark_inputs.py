@@ -2,12 +2,15 @@
 normal form against a Fraction Horner shift, on the inputs the benchmark
 runs.
 
-``perfbench/gen.py`` is loaded from its file and only read: it draws the
-seed-0 inputs of the workloads. On every batch_small and degree_ladder
-input that parses, ``critical_structure`` must give the same separation
-verdict, zero-value answer, profile and radical when the modular helper
-answers as when it is forced off and the exact value polynomial decides.
-On every parseable input of all three workloads, ``normalize`` must give
+``perfbench/gen.py`` and ``perfbench/spans.py`` are loaded from their
+files and only read: the first draws the seed-0 inputs of the workloads,
+the second names the functions the traced run wraps, each of which must
+exist. On every batch_small and degree_ladder input that parses,
+``critical_structure`` must give the same separation verdict, zero-value
+answer, profile and radical when the modular helper answers as when it
+is forced off and the exact value polynomial decides. On every parseable
+input of all three workloads, the value polynomial modulo a prime must
+equal the one from l + 1 resultants in F_q, and ``normalize`` must give
 the centered form that Horner's rule over Fraction coefficients gives.
 Two count tests pin the work: ``classify`` takes no radical on an input
 with no zero critical value, and the zero-valued degree-64 input
@@ -23,6 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from test_criteria import _check_modular_image
 from uniqpoly import criteria
 from uniqpoly.parser import DegreeCapError, ParseError, parse_poly
 from uniqpoly.polynomials import Poly
@@ -30,19 +34,31 @@ from uniqpoly.polynomials import Poly
 # the package re-exports the function classify under the module's name
 classify_mod = importlib.import_module("uniqpoly.classify")
 
-GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is being built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is being built
-    sys.modules[spec.name] = gen
-    try:
-        spec.loader.exec_module(gen)
-    finally:
-        del sys.modules[spec.name]
-    return gen
+    return _load("gen")
+
+
+def test_every_span_target_exists():
+    # the tracer rebinds these names; a missing one breaks the traced run
+    for module, attr, _, _ in _load("spans").WRAPS:
+        assert hasattr(importlib.import_module(f"uniqpoly.{module}"),
+                       attr), (module, attr)
 
 
 def _benchmark_inputs(*workloads: str) -> list:
@@ -78,6 +94,13 @@ def test_modular_and_exact_critical_structure_agree(monkeypatch):
     monkeypatch.setattr(criteria, "poly_gcd", counted)
     assert [_answers(p) for p in inputs] == modular
     assert len(separation_gcds) == len(inputs)  # the exact path decided each
+
+
+def test_modular_image_matches_the_resultant_route():
+    inputs = _benchmark_inputs("batch_small", "degree_ladder", "curve_census")
+    assert len(inputs) == 96 + 21 + 9
+    for p in inputs:
+        _check_modular_image(p)
 
 
 def _horner_centered(p) -> tuple:

@@ -19,7 +19,17 @@ from uniqpoly.criteria import (
     normalize,
     exceptional_flags,
 )
-from uniqpoly.polynomials import Poly, X, radical
+from uniqpoly.polynomials import (
+    GCD_PRIMES,
+    Poly,
+    X,
+    _reduce_mod,
+    _rem_mod,
+    _squarefree_mod,
+    _value_poly_mod,
+    radical,
+    separation_mod_p,
+)
 
 
 def test_normalize_identity_and_shift():
@@ -136,16 +146,89 @@ def test_non_monic_separation_polynomial_is_an_error(monkeypatch):
         critical_structure(X**4 + X + 1).separation_poly
 
 
-def test_non_monic_modular_image_is_an_error(monkeypatch):
-    # separation is decided on the value polynomial modulo a prime, whose
-    # image must be monic of degree l just as the exact one is
-    from uniqpoly import polynomials
+def _reference_res(a: list, b: list, q: int) -> int:
+    """Res(a, b) in F_q for a nonzero, by Euclid, from
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+    for r = a mod b."""
+    res = 1
+    while len(b) > 1:
+        r = _rem_mod(a, b, q)
+        if not r:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        if da & db & 1:
+            res = -res
+        res = res * pow(b[-1], da - (len(r) - 1), q) % q
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, q) % q if b else 0
 
-    newton = polynomials._newton_mod
-    monkeypatch.setattr(polynomials, "_newton_mod",
-                        lambda vals, q: [2 * c % q for c in newton(vals, q)])
-    with pytest.raises(RuntimeError, match="monic"):
-        critical_structure(X**4 + X + 1)
+
+def _reference_image(r: list, a: list, q: int) -> list:
+    """The value polynomial modulo q the older way: the l + 1 resultants
+    Res(r, t - a) in F_q at t = 0..l, interpolated by Newton's divided
+    differences, for r monic of degree l < q and a reduced modulo r."""
+    low = a or [0]
+    high = [-c % q for c in low[1:]]
+    dd = [_reference_res(r, [(t - low[0]) % q] + high, q)
+          for t in range(len(r))]
+    l = len(dd) - 1
+    for k in range(1, l + 1):
+        inv = pow(k, -1, q)  # the nodes are i and i - k
+        for i in range(l, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv % q
+    acc: list = []
+    for k in range(l, -1, -1):
+        # acc := acc * (X - k) + dd[k]
+        nxt = [0] + acc
+        for i, c in enumerate(acc):
+            nxt[i] = (nxt[i] - k * c) % q
+        nxt[0] = (nxt[0] + dd[k]) % q
+        acc = nxt
+    return acc
+
+
+def _reduced(p: Poly) -> tuple:
+    """(rad, q, r, a): the monic radical of P', the prime
+    ``separation_mod_p`` takes, and rad and P mod rad reduced modulo it."""
+    rad = radical(p.derivative())
+    q = next(q for q in GCD_PRIMES if q > rad.degree and all(
+        c.denominator % q for c in rad.coeffs + p.coeffs))
+    r = _reduce_mod(rad, q)
+    return rad, q, r, _rem_mod(_reduce_mod(p, q), r, q)
+
+
+def _check_modular_image(p: Poly) -> list:
+    """The modular image of P's value polynomial equals the reference, and
+    ``separation_mod_p`` answers from it; returns the image."""
+    rad, q, r, a = _reduced(p)
+    image = _value_poly_mod(r, a, q)
+    assert image == _reference_image(r, a, q), p
+    assert separation_mod_p(rad, p) == (_squarefree_mod(image, q),
+                                        image[0] != 0), p
+    return image
+
+
+def test_modular_image_matches_the_reference():
+    # separation is decided on the value polynomial modulo a prime, which
+    # must agree with the resultant-and-interpolation route term by term
+    rng = random.Random(12)
+    inputs = [X**4 + X + 1, X**2, X**3 - 3 * X**2, X**6 - 2 * X**2,
+              (X**2 - 1) ** 3 + X**2, X**5 * Q(1, 3) - X * Q(7, 2)]
+    inputs += [Poly.of(*(rng.randint(-9, 9) for _ in range(d)), 1)
+               for d in (3, 8, 16, 33)]
+    for p in inputs:
+        image = _check_modular_image(p)
+        assert len(image) == radical(p.derivative()).degree + 1
+        assert image[-1] == 1
+
+
+def test_modular_image_slots_never_carry():
+    # every residue at q - 1 makes each packed product slot as large as
+    # it can be, also at l = 200, far above the degree cap
+    q = GCD_PRIMES[0]
+    for l in (64, 200):
+        r, a = [q - 1] * l + [1], [q - 1] * l
+        assert _value_poly_mod(r, a, q) == _reference_image(r, a, q)
 
 
 def _symmetry(p: Poly):
