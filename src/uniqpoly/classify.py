@@ -646,8 +646,7 @@ def _strip_root(g: Poly, root: Fraction) -> Poly:
     return g
 
 
-def witness_search(p: Poly, mode: str = "any_c",
-                   max_order: Optional[int] = None, *,
+def witness_search(p: Poly, mode: str = "any_c", *,
                    constraint: Optional[Poly] = None) -> Optional[Witness]:
     """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
@@ -664,7 +663,7 @@ def witness_search(p: Poly, mode: str = "any_c",
     g = _constraint_gcd(p) if constraint is None else constraint
     n = p.degree
     s = -p.coeff(n - 1) / (n * p.lc)
-    cap = max_order or max(n, 2)
+    cap = max(n, 2)
 
     def finish(order: int, beta: Optional[Fraction]) -> Witness:
         if beta is not None:

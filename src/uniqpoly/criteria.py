@@ -157,14 +157,15 @@ def _separation_poly(rad: Poly, p: Poly) -> Poly:
 def critical_structure(p: Poly) -> CriticalStructure:
     """Critical points, profile and separation of P.
 
-    Separation and the absence of a zero critical value are decided from
-    the value polynomial modulo a prime (``separation_mod_p``), built from
-    the power sums of the critical values, the traces of P^k mod rad for
-    k <= l, by Newton's identities. The exact
-    value polynomial is built only when no prime certifies separation, or
-    later when ``separation_poly`` is first read. When neither settles
-    whether 0 is a value, gcd(rad, P) does: 0 is a critical value exactly
-    when rad and P share a root.
+    ``squarefree_parts`` splits P' (certified squarefree modulo a prime
+    when it can be, by Yun's algorithm otherwise) and decides whether P
+    itself is squarefree: P has a repeated root exactly when 0 is a
+    critical value, so ``has_zero_value`` means P is not squarefree.
+    Separation is decided from the value polynomial modulo a prime
+    (``separation_mod_p``), built from the power sums of the critical
+    values, the traces of P^k mod rad for k <= l, by Newton's identities.
+    The exact value polynomial is built only when no prime certifies
+    separation, or later when ``separation_poly`` is first read.
     """
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
@@ -173,19 +174,11 @@ def critical_structure(p: Poly) -> CriticalStructure:
     rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
     profile = sorted((mult for factor, mult in parts
                       for _ in range(factor.degree)), reverse=True)
-    separated, zero_free = separation_mod_p(rad, p) or (False, False)
+    separated = separation_mod_p(rad, p)
     sep = None
     if not separated:
         sep = _separation_poly(rad, p)
         separated = poly_gcd(sep, sep.derivative()).degree == 0
-    # sep(0) = (-1)^l Res(rad, P), so 0 is a critical value exactly when
-    # the constant term of the value polynomial vanishes
-    if zero_free:
-        has_zero_value = False
-    elif sep is not None:
-        has_zero_value = sep.coeff(0) == 0
-    else:
-        has_zero_value = poly_gcd(rad, p).degree > 0
     cs = CriticalStructure(
         polynomial=p,
         derivative=dp,
@@ -193,7 +186,7 @@ def critical_structure(p: Poly) -> CriticalStructure:
         count=rad.degree,
         profile=tuple(profile),
         is_separated=separated,
-        has_zero_value=has_zero_value,
+        has_zero_value=any(m > 1 for _, m in squarefree_parts(p)),
     )
     if sep is not None:
         cs.__dict__["separation_poly"] = sep  # where cached_property keeps it

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polynomials import Poly
 from .trivariate import TriPoly, homogenize_x, homogenize_y, tri
@@ -78,6 +78,23 @@ def restrict_diagonal(t: TriPoly) -> Poly:
 
 # exact identity battery
 
+def _dz_order(p: Poly, fz: TriPoly, low: int,
+              expected: Callable[[int, Fraction], TriPoly]) -> bool:
+    """With m0 the top support exponent of P in [low, n): fz vanishes to
+    exact order n - m0 - 1 in z, and the z-free part of the quotient is
+    ``expected(m0, (n - m0) a_m0)``. With no such exponent, fz is zero."""
+    n = p.degree
+    below = [k for k in p.support() if low <= k < n]
+    if not below:
+        return fz.is_zero
+    m0 = max(below)
+    if fz.z_multiplicity() != n - m0 - 1:
+        return False
+    quot = fz.divide_z(n - m0 - 1)
+    return (TriPoly({e: cc for e, cc in quot.terms.items() if e[2] == 0})
+            == expected(m0, (n - m0) * p.coeff(m0)))
+
+
 def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
     """Check every structural identity both curves must satisfy.
 
@@ -107,38 +124,15 @@ def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
         "scaled_diagonal": restrict_diagonal(G) == (1 - c) * p,
     }
 
-    # z-partial vanishes to exact order n - m0 - 1, where m0 is the top
-    # support exponent below n (for the shared curve the constant term
-    # never enters)
-    fz = F.partial("z")
-    below = [k for k in p.support() if 0 < k < n]
-    if below:
-        m0 = max(below)
-        expected = TriPoly(
-            {(m0 - 1 - j, j, 0): (n - m0) * p.coeff(m0) for j in range(m0)}
-        )
-        ok = fz.z_multiplicity() == n - m0 - 1
-        quot = fz.divide_z(n - m0 - 1) if ok else None
-        mod_z = TriPoly({e: cc for e, cc in quot.terms.items() if e[2] == 0}) if ok else None
-        checks["shared_dz_order"] = ok and mod_z == expected
-    else:
-        checks["shared_dz_order"] = fz.is_zero
-
-    gz = G.partial("z")
-    below_c = [k for k in p.support() if k < n]
-    if below_c:
-        m0 = max(below_c)
-        a = p.coeff(m0)
-        eterms: dict[tuple[int, int, int], Fraction] = {(m0, 0, 0): (n - m0) * a}
-        key = (0, m0, 0)
-        eterms[key] = eterms.get(key, Q(0)) - (n - m0) * a * c
-        expected = TriPoly(eterms)
-        ok = gz.z_multiplicity() == n - m0 - 1
-        quot = gz.divide_z(n - m0 - 1) if ok else None
-        mod_z = TriPoly({e: cc for e, cc in quot.terms.items() if e[2] == 0}) if ok else None
-        checks["scaled_dz_order"] = ok and mod_z == expected
-    else:
-        checks["scaled_dz_order"] = gz.is_zero
+    # each z-partial vanishes to exact order n - m0 - 1, where m0 is the
+    # top support exponent below n (for the shared curve the constant
+    # term never enters)
+    checks["shared_dz_order"] = _dz_order(
+        p, F.partial("z"), 1,
+        lambda m0, a: tri({(m0 - 1 - j, j, 0): a for j in range(m0)}))
+    checks["scaled_dz_order"] = _dz_order(
+        p, G.partial("z"), 0,
+        lambda m0, a: tri({(m0, 0, 0): a}) + tri({(0, m0, 0): -a * c}))
 
     return checks
 
@@ -216,12 +210,8 @@ def singular_census(config: Configuration) -> tuple[CensusPoint, ...]:
     return tuple(out)
 
 
-def genus_ordinary(
-    degree: int, census: Sequence[CensusPoint], irreducible: bool = True
-) -> int:
+def genus_ordinary(degree: int, census: Sequence[CensusPoint]) -> int:
     """Genus of an irreducible plane curve with only ordinary singularities."""
-    if not irreducible:
-        raise ValueError("genus count needs an irreducible curve")
     if any(not pt.ordinary for pt in census):
         raise ValueError("genus count needs ordinary singular points")
     g = (degree - 1) * (degree - 2) // 2

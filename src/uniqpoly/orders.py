@@ -1005,7 +1005,7 @@ def _pairing_matrices(sizes: list[int]):
     return mats
 
 
-def _realize_pairing(mults: tuple[int, ...], sizes, classes, mat):
+def _realize_pairing(sizes, classes, mat):
     """Build one concrete pairing with the requested class edge counts.
 
     Within a class the edges form a path (or a full cycle when the class
@@ -1064,6 +1064,6 @@ def enumerate_configurations(max_n: int, kinds=("shared", "scaled")):
             classes = [[i for i, m in enumerate(mults) if m == v] for v in values]
             sizes = [len(c) for c in classes]
             for mat in _pairing_matrices(sizes):
-                pairing = _realize_pairing(mults, sizes, classes, mat)
+                pairing = _realize_pairing(sizes, classes, mat)
                 configs.append(Configuration("scaled", mults, pairing))
     return configs

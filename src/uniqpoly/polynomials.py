@@ -8,22 +8,25 @@ the integer u on the coefficients of v^n D P(X/v), D their common
 denominator, then one division per coefficient.
 
 The resultant uses a subresultant pseudo-remainder sequence over cleared
-integer coefficients, gcd uses a primitive PRS, squarefree splitting is Yun's
-algorithm, interpolation uses Newton's divided differences, and the
-cyclotomic polynomial Phi_r comes from exact division of X^r - 1. Sums
-and products skip zero coefficients, so building a polynomial term by
-term costs in proportion to its terms. One helper tests squarefreeness
-modulo a prime, by Euclid on f and f' in F_q. The value polynomial of
-the critical points is built modulo a prime below 2^15 from power sums:
+integer coefficients, gcd uses a primitive PRS, interpolation uses
+Newton's divided differences, and the cyclotomic polynomial Phi_r comes
+from exact division of X^r - 1. Sums and products skip zero
+coefficients, so building a polynomial term by term costs in proportion
+to its terms. Every squarefree decision is ``squarefree_parts``: Euclid
+on f and f' in F_q certifies f squarefree when it can, and only
+otherwise does Yun's algorithm run over Q. ``radical`` and
+``rational_roots`` read it, and so does ``criteria.critical_structure``,
+whose ``has_zero_value`` means P is not squarefree: P has a repeated
+root exactly when 0 is a critical value. The value polynomial of the
+critical points is built modulo a prime below 2^15 from power sums:
 Newton's identities give the power sums of the critical points, the
 traces of P^k mod rad P' give those of the critical values, and Newton's
 identities again give the coefficients. Each P^k mod rad P' is one
 product of residue vectors packed into one integer, folded back by a
-packed table of x^(l+i) mod rad P'. That one image certifies the value
-polynomial squarefree and, by its constant term, every critical value
-nonzero. Rational roots come from roots modulo a small prime where the
-input stays squarefree, lifted by Hensel's lemma. The test suite checks
-the resultant against a Sylvester-determinant oracle.
+packed table of x^(l+i) mod rad P'. That image certifies the value
+polynomial squarefree. Rational roots come from roots modulo a small
+prime where the input stays squarefree, lifted by Hensel's lemma. The
+test suite checks the resultant against a Sylvester-determinant oracle.
 """
 
 from __future__ import annotations
@@ -181,10 +184,13 @@ class Poly:
         return divmod(self, _coerce(other))[1]
 
     def exact_div(self, other) -> "Poly":
-        quot, rem = divmod(self, _coerce(other))
-        if not rem.is_zero:
-            raise ValueError("division is not exact")
-        return quot
+        # on the primitive integer forms: by Gauss's lemma a primitive
+        # divisor over Q of an integer polynomial divides it over Z
+        fa, a = _int_clear(self)
+        fb, b = _int_clear(_coerce(other))
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly.of(*_int_divexact(a, b)) * (fa / fb)
 
     # calculus and substitution
 
@@ -256,7 +262,7 @@ def _int_clear(p: Poly) -> tuple[Fraction, list[int]]:
     if p.is_zero:
         return Q(1), []
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
@@ -426,8 +432,8 @@ def _value_poly_mod(r: Sequence[int], a: Sequence[int], q: int) -> list[int]:
     return sep
 
 
-def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
-    """(squarefree, zero_free) for the value polynomial modulo a prime.
+def separation_mod_p(rad: Poly, p: Poly) -> Optional[bool]:
+    """Whether the value polynomial is squarefree modulo a prime.
 
     The value polynomial is sep(t) = Res_X(rad, t - P), the product of
     t - P(alpha) over the roots alpha of the monic rad. With q the first
@@ -437,9 +443,8 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
     F_q[x]/(rad), built from the power sums of its roots by
     ``_value_poly_mod``, monic of degree l. Since sep is monic,
     squarefree mod q makes it squarefree over Q: the critical values are
-    distinct. Since sep(0) = (-1)^l Res(rad, P), a constant term nonzero
-    mod q makes every critical value nonzero. A False in either place
-    means only that q certified nothing; None means no prime was usable.
+    distinct. False means only that q certified nothing; None means no
+    prime was usable.
     """
     l = rad.degree
     for q in GCD_PRIMES:
@@ -447,8 +452,8 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
                          for c in rad.coeffs + p.coeffs):
             continue
         r = _reduce_mod(rad, q)
-        sep = _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q)
-        return _squarefree_mod(sep, q), sep[0] != 0
+        return _squarefree_mod(
+            _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q), q)
     return None
 
 
@@ -505,15 +510,21 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
 
 
 def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's splitting: monic squarefree factors with multiplicities.
+    """Monic squarefree factors of p with multiplicities.
 
-    The product of factor**mult over the result equals p.monic().
+    With f the primitive integer form of p: when q = ``GCD_PRIMES[0]``
+    does not divide lc(f) and gcd(f, f') = 1 in F_q, f is squarefree over
+    Q, since a square factor would stay one mod q, so the answer is
+    p.monic() alone and no gcd is taken. Otherwise Yun's algorithm splits
+    p over Q. The product of factor**mult over the result is p.monic().
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree splitting")
     p = p.monic()
     if p.degree == 0:
         return []
+    if _squarefree_mod(_int_clear(p)[1], GCD_PRIMES[0]):
+        return [(p, 1)]
     out: list[tuple[Poly, int]] = []
     g = poly_gcd(p, p.derivative())
     c = p.exact_div(g)
@@ -530,12 +541,11 @@ def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
 
 
 def radical(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
+    """Monic product of the distinct irreducible factors of p, the factors
+    of ``squarefree_parts`` (certified modulo q first, else Yun)."""
     if p.is_zero:
         raise ValueError("zero polynomial has no radical")
-    if p.degree == 0:
-        return Poly.of(1)
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
+    return math.prod((f for f, _ in squarefree_parts(p)), start=Poly.of(1))
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
@@ -564,7 +574,7 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
 
 
 def _int_divexact(A: Sequence[int], B: Sequence[int]) -> list[int]:
-    """A / B for integer polynomials that B divides over the integers."""
+    """A / B for integer polynomials, raising ValueError unless B divides A over Z."""
     R = list(A)
     db = _ideg(B)
     out = [0] * (len(A) - db)
@@ -573,6 +583,8 @@ def _int_divexact(A: Sequence[int], B: Sequence[int]) -> list[int]:
         if c:
             for i, b in enumerate(B):
                 R[k + i] -= c * b
+    if any(R):
+        raise ValueError("division is not exact")
     return out
 
 
@@ -630,10 +642,11 @@ def _screen(f: Sequence[int], u: int, v: int) -> int:
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, ascending.
 
-    With f the primitive integer multiple of p, s its squarefree part and
-    a = lc(s), the rational roots of p are the Y/a for the integer roots
-    Y of the monic g(Y) = a^(e-1) s(Y/a), e = deg s. Each root u/v found
-    is divided out of f as the factor vX - u as often as f vanishes there.
+    With f the primitive integer multiple of p, s the primitive integer
+    form of its ``radical`` and a = lc(s), the rational roots of p are the
+    Y/a for the integer roots Y of the monic g(Y) = a^(e-1) s(Y/a),
+    e = deg s. Each root u/v found is divided out of f as the factor
+    vX - u as often as f vanishes there.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
@@ -645,9 +658,7 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     roots: list[tuple[Fraction, int]] = [(Q(0), k)] if k else []
     if len(f) < 2:
         return roots
-    s = f
-    if not _squarefree_mod(f, GCD_PRIMES[0]):
-        s = _int_divexact(f, _int_gcd(f, [i * c for i, c in enumerate(f)][1:]))
+    _, s = _int_clear(radical(Poly.of(*f)))
     e, a = _ideg(s), s[-1]
     g = [c * a ** (e - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     for y in _integer_roots(g):

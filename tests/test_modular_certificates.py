@@ -2,10 +2,11 @@
 
 ``critical_structure`` decides separation by building the monic value
 polynomial modulo a prime below 2^15 and checking it squarefree there
-(``_squarefree_mod``), and falls back to the exact gcd. The constant term
-of the same image certifies that no critical value is 0; when it does not,
-gcd(rad P', P) decides, and the exact resultant Res(rad P', P) stays the
-oracle the tests compare it with. ``_constraint_gcd``
+(``_squarefree_mod``), and falls back to the exact gcd. A critical value
+is 0 exactly when P is not squarefree, which ``squarefree_parts`` decides
+modulo the same kind of prime before it runs Yun's algorithm; the exact
+resultant Res(rad P', P) stays the oracle the tests compare it with.
+``_constraint_gcd``
 reads the witness equations off the coefficients of P at its center; they
 are compared with the X-basis equations solved in sympy. These tests also
 check that the fallback gives the same verdicts when no prime certifies
@@ -242,11 +243,22 @@ def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
 
 def test_separated_input_takes_no_exact_step(monkeypatch):
     calls = _count_calls(monkeypatch, "resultant", "poly_gcd")
+    yun_gcds = []
+    exact = polynomials.poly_gcd
+
+    def counted(f, g):
+        yun_gcds.append(1)
+        return exact(f, g)
+
+    # squarefree_parts certifies P and P' squarefree modulo a prime, so
+    # Yun's algorithm takes no gcd either
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
     rng = random.Random(21)
     for _ in range(3):
         cs = critical_structure(_dense(rng, 20))
         assert cs.is_separated and not cs.has_zero_value
     assert calls == {"resultant": 0, "poly_gcd": 0}
+    assert yun_gcds == []
 
 
 def _zero_valued() -> list[Poly]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from uniqpoly.polynomials import (
     Poly,
     X,
@@ -189,10 +191,15 @@ def test_property_divmod():
     rng = random.Random(8)
     for _ in range(200):
         p = random_poly(rng, 9)
-        q = random_poly(rng, 5)
+        q = random_poly(rng, 5) * Q(rng.randint(1, 9), rng.randint(1, 9))
         quot, rem = divmod(p, q)
         assert quot * q + rem == p
         assert rem.is_zero or rem.degree < q.degree
+        # exact_div divides the primitive integer forms instead
+        assert (p - rem).exact_div(q) == quot
+        if not rem.is_zero:
+            with pytest.raises(ValueError):
+                p.exact_div(q)
 
 
 def _dense_sum(p: Poly, q: Poly) -> tuple:

@@ -1,0 +1,121 @@
+"""Squarefree splitting against sympy.
+
+``squarefree_parts`` is the one squarefree routine: it certifies p
+squarefree modulo ``GCD_PRIMES[0]`` when it can and runs Yun's algorithm
+over Q otherwise. ``radical`` is the product of its factors, and
+``critical_structure`` reads ``has_zero_value`` off it, since P has a
+repeated root exactly when 0 is a critical value. A derandomized
+hypothesis suite draws products of powers of random rational factors up
+to degree 64 and compares all three with sympy; ``separation_mod_p`` is
+stubbed there, so that no exact value polynomial is built. Fixed inputs
+that are squarefree over Q but not certified modulo q, because q divides
+the leading coefficient or two roots meet modulo q, must still come back
+as one factor of multiplicity 1, from Yun's algorithm.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Q
+from unittest import mock
+
+import pytest
+
+from uniqpoly import criteria, polynomials
+from uniqpoly.polynomials import (
+    GCD_PRIMES,
+    Poly,
+    X,
+    _int_clear,
+    _squarefree_mod,
+    radical,
+    rational_roots,
+    squarefree_parts,
+)
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+T = sympy.Symbol("t")
+QQ_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# mostly simple factors, so that some products are squarefree and take
+# the certificate modulo q
+MULTIPLICITIES = st.sampled_from((1, 1, 1, 1, 2, 3, 4))
+
+
+def _to_sympy(p: Poly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], T, domain="QQ")
+
+
+def _from_sympy(sp) -> Poly:
+    return Poly.of(*(Q(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
+
+
+@st.composite
+def _factor(draw) -> Poly:
+    degree = draw(st.integers(1, 6))
+    cs = draw(st.lists(QQ_COEFFS, min_size=degree, max_size=degree))
+    return Poly.of(*cs, draw(QQ_COEFFS.filter(bool)))
+
+
+@st.composite
+def _products(draw) -> Poly:
+    p = Poly.of(draw(QQ_COEFFS.filter(bool)))
+    for f, m in draw(st.lists(st.tuples(_factor(), MULTIPLICITIES),
+                              min_size=1, max_size=8)):
+        if p.degree + m * f.degree > 64:
+            break
+        p = p * f**m
+    return p
+
+
+def _check(p: Poly) -> None:
+    sp = _to_sympy(p)
+    _, want = sp.sqf_list()
+    assert sorted(squarefree_parts(p), key=lambda fm: fm[1]) == sorted(
+        ((_from_sympy(f.monic()), m) for f, m in want),
+        key=lambda fm: fm[1]), p
+    g = sympy.gcd(sp, sp.diff(T))
+    assert radical(p) == _from_sympy(sympy.quo(sp, g).monic()), p
+    if p.degree >= 2:
+        # the separation verdict is not under test here: taking it as
+        # certified keeps critical_structure from building the exact
+        # value polynomial of a non-separated P, seconds at degree 50
+        with mock.patch.object(criteria, "separation_mod_p",
+                               lambda rad, p: True):
+            cs = criteria.critical_structure(p)
+        assert cs.has_zero_value == (sp.sqf_part().degree() < p.degree), p
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(_products())
+def test_squarefree_parts_match_sympy(p):
+    _check(p)
+
+
+def _q_unlucky() -> list[Poly]:
+    q = GCD_PRIMES[0]
+    return [X * (X - q), (X - 1) * (X - (q + 1)) * (X + 2), q * X**2 + 1,
+            X**3 - 3 * q * X]
+
+
+def test_q_unlucky_inputs_go_through_yun(monkeypatch):
+    exact = polynomials.poly_gcd
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return exact(f, g)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    for p in _q_unlucky():
+        assert not _squarefree_mod(_int_clear(p)[1], GCD_PRIMES[0]), p
+        calls.clear()
+        assert squarefree_parts(p) == [(p.monic(), 1)], p
+        assert calls, p  # Yun's algorithm ran
+        _check(p)
+        assert not criteria.critical_structure(p).has_zero_value, p
+        want = sorted((Q(int(r.p), int(r.q)), m)
+                      for r, m in _to_sympy(p).ground_roots().items())
+        assert rational_roots(p) == want, p
