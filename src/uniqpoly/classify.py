@@ -435,7 +435,7 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     profile = cs.profile
     mn = profile[-1] if profile else 0
     flags = exceptional_flags(cs)
-    sym = affine_symmetry(p, idx, cs)
+    sym = affine_symmetry(idx, cs)
     rigid = sym is None
     no_linear = (
         "no rotation fixes the centered support"

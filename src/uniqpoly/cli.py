@@ -19,6 +19,7 @@ output, so timing is reported as rule-step counts, never wall clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import traceback
@@ -76,7 +77,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every call of ``main`` can share it."""
     top = _ArgumentParser(
         prog="uniqpoly",
         description="exact classification of value-sharing polynomials",
@@ -222,8 +226,9 @@ def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
     # under separation Galois-conjugate critical points would share a
     # value, so every critical value is rational exactly when every
     # critical point is; their multiplicities as roots of P' are the
-    # profile
-    points = rational_roots(cs.derivative)
+    # profile, read off the squarefree factors of P'
+    points = sorted((x, mult) for factor, mult in cs.derivative_parts
+                    for x, _ in rational_roots(factor))
     if sum(m for _, m in points) != cs.derivative.degree:
         return {"available": False,
                 "reason": "some critical value is irrational"}

@@ -39,6 +39,15 @@ from .polynomials import (
 
 Q = Fraction
 
+# ``radical`` is re-exported: perfbench/spans.py wraps criteria.radical
+# by name, and the traced run fails on a name that is missing
+__all__ = [
+    "AffineSymmetry", "CriticalStructure", "ExceptionalFlags", "IndexData",
+    "LinearFactor", "LinearFactorScan", "NormalForm", "affine_symmetry",
+    "critical_structure", "exceptional_flags", "ext_gcd_combo",
+    "index_data", "linear_factor_scan", "normalize", "radical",
+]
+
 
 # centered normal form
 
@@ -127,6 +136,8 @@ def index_data(p: Poly) -> IndexData:
 class CriticalStructure:
     polynomial: Poly
     derivative: Poly
+    derivative_parts: tuple[tuple[Poly, int], ...]  # squarefree_parts(P')
+    root_parts: tuple[tuple[Poly, int], ...]  # squarefree_parts(P)
     radical: Poly  # monic product of distinct critical-point factors
     count: int  # number of distinct critical points (degree of radical)
     profile: tuple[int, ...]  # critical-point multiplicities in P', descending
@@ -170,10 +181,11 @@ def critical_structure(p: Poly) -> CriticalStructure:
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
     dp = p.derivative()
-    parts = squarefree_parts(dp)
+    parts = tuple(squarefree_parts(dp))
     rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
     profile = sorted((mult for factor, mult in parts
                       for _ in range(factor.degree)), reverse=True)
+    root_parts = tuple(squarefree_parts(p))
     separated = separation_mod_p(rad, p)
     sep = None
     if not separated:
@@ -182,11 +194,13 @@ def critical_structure(p: Poly) -> CriticalStructure:
     cs = CriticalStructure(
         polynomial=p,
         derivative=dp,
+        derivative_parts=parts,
+        root_parts=root_parts,
         radical=rad,
         count=rad.degree,
         profile=tuple(profile),
         is_separated=separated,
-        has_zero_value=any(m > 1 for _, m in squarefree_parts(p)),
+        has_zero_value=any(m > 1 for _, m in root_parts),
     )
     if sep is not None:
         cs.__dict__["separation_poly"] = sep  # where cached_property keeps it
@@ -202,9 +216,10 @@ class AffineSymmetry:
     radical_support: tuple[int, ...]  # support of the centered monic radical
 
 
-def affine_symmetry(p: Poly, idx: IndexData,
+def affine_symmetry(idx: IndexData,
                     cs: CriticalStructure) -> Optional[AffineSymmetry]:
-    """Largest group of affine maps permuting the distinct roots of p.
+    """Largest group of affine maps permuting the distinct roots of
+    P = ``cs.polynomial``.
 
     Any finite affine symmetry of a set with at least two points is a
     root-of-unity rotation about the set's centroid, so the group is cyclic
@@ -214,9 +229,13 @@ def affine_symmetry(p: Poly, idx: IndexData,
     lies in I: the order is the projective symmetry order of the radical's
     ``index_data``. P has a repeated root exactly when 0 is a critical
     value, so otherwise the radical is P / lc(P) and ``idx`` already holds
-    it. Returns None when only the identity works.
+    it; when it is, the radical is the product of the factors in
+    ``cs.root_parts``. Returns None when only the identity works.
     """
-    rad_idx = index_data(radical(p)) if cs.has_zero_value else idx
+    rad_idx = idx
+    if cs.has_zero_value:
+        rad_idx = index_data(math.prod((f for f, _ in cs.root_parts),
+                                       start=Poly.of(1)))
     g = rad_idx.projective_symmetry_order
     if g == 1:
         return None

@@ -16,8 +16,17 @@ With a degree cap, a power whose degree would exceed the cap is
 rejected before it is expanded. A literal may have at most
 MAX_LITERAL_DIGITS digits, and every coefficient met while parsing at
 most MAX_COEFF_BITS bits in its numerator and in its denominator,
-powers included: a power is computed by squaring with each step
-checked, so one that outgrows the bound fails within a few squarings.
+powers included.
+
+Values are kept as their nonzero terms, exponent -> coefficient, and
+become a Poly once, at the end. A power of a sum is computed by
+squaring with each step checked, so one that outgrows the bound fails
+within a few squarings. A power of one term c X^e is c^k X^(ek) in one
+step, and the check is the same: with m = max(|num c|, den c), the
+larger side of c^j is m^j, whose bit length never falls as j grows, and
+squaring forms c^j only for j <= k, so some step would fail exactly
+when c^k does. When k (bits(m) - 1) >= MAX_COEFF_BITS, m^k is too large
+and is not formed, so "2^100000" fails at once.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Poly, X
+from .polynomials import Poly
 
 Q = Fraction
 
@@ -62,6 +71,10 @@ def _bits(c: Fraction) -> int:
     return max(abs(c.numerator), c.denominator).bit_length()
 
 
+def _too_large(offset: int) -> ParseError:
+    return ParseError(f"coefficient exceeds {MAX_COEFF_BITS} bits", offset)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) triples; kinds are int, var, and the ops."""
     out = []
@@ -92,6 +105,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# a parsed value as its nonzero terms: exponent -> coefficient
+Terms = dict[int, Fraction]
+
+
+def _mul(a: Terms, b: Terms) -> Terms:
+    """Product over the nonzero pairs of terms."""
+    out: Terms = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            e = i + j
+            out[e] = out[e] + c * d if e in out else c * d
+    return {e: c for e, c in out.items() if c}
+
+
 class _Parser:
     def __init__(self, text: str, degree_cap: Optional[int] = None):
         self.tokens = _tokenize(text)
@@ -112,41 +139,46 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {what}", offset, expected)
 
-    def check(self, coeffs, offset: int) -> None:
-        if any(c and _bits(c) > MAX_COEFF_BITS for c in coeffs):
-            raise ParseError(
-                f"coefficient exceeds {MAX_COEFF_BITS} bits", offset)
+    def check(self, c: Fraction, offset: int) -> None:
+        if _bits(c) > MAX_COEFF_BITS:
+            raise _too_large(offset)
 
-    def bounded(self, p: Poly, offset: int) -> Poly:
-        self.check(p.coeffs, offset)
-        return p
+    def bounded(self, terms: Terms, offset: int) -> Terms:
+        for c in terms.values():
+            self.check(c, offset)
+        return terms
 
-    def expr(self) -> Poly:
+    def expr(self) -> Terms:
         acc = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.take()
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-            # only the coefficients t touches can have changed; the rest
-            # were checked when acc was built, so this fails at the same
-            # operator as checking every coefficient would
-            self.check((acc.coeff(e) for e in t.support()), offset)
+            # add in place; acc and the term were each checked when
+            # built, so only a coefficient of X^e present in both can
+            # outgrow the bound
+            for e, c in self.term().items():
+                if op == "-":
+                    c = -c
+                if e in acc:
+                    c += acc[e]
+                    if not c:
+                        del acc[e]
+                        continue
+                    self.check(c, offset)
+                acc[e] = c
         return acc
 
-    def term(self) -> Poly:
+    def term(self) -> Terms:
         acc = self.factor()
         while True:
             kind, _, offset = self.peek()
             if kind == "*":
                 self.take()
-                acc = self.bounded(acc * self.factor(), offset)
-            elif kind in ("var", "int", "("):
-                # juxtaposition: 4X, 2(X+1), (X+1)(X-1)
-                acc = self.bounded(acc * self.factor(), offset)
-            else:
+            elif kind not in ("var", "int", "("):
                 return acc
+            # "*", or juxtaposition: 4X, 2(X+1), (X+1)(X-1)
+            acc = self.bounded(_mul(acc, self.factor()), offset)
 
-    def factor(self) -> Poly:
+    def factor(self) -> Terms:
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
@@ -158,25 +190,36 @@ class _Parser:
             if kind != "int":
                 self.fail(("integer exponent",))
             self.take()
-            k = int(text)
-            # reject before expanding, so a huge exponent fails at once
-            cap = self.degree_cap
-            if cap is not None and base.degree * k > cap:
-                raise DegreeCapError(base.degree * k, cap)
-            # square and multiply with every step bounded, so a power
-            # whose coefficients outgrow the bound stops within a few
-            # squarings instead of being computed
-            out = Poly.of(1)
-            while k:
-                if k & 1:
-                    out = self.bounded(out * base, offset)
-                k >>= 1
-                if k:
-                    base = self.bounded(base * base, offset)
-            base = out
-        return base if sign == 1 else -base
+            base = self.power(base, int(text), offset)
+        return base if sign == 1 else {e: -c for e, c in base.items()}
 
-    def atom(self) -> Poly:
+    def power(self, base: Terms, k: int, offset: int) -> Terms:
+        # reject before expanding, so a huge exponent fails at once
+        cap = self.degree_cap
+        degree = max(base, default=-1)  # -1 for 0, as Poly.degree
+        if cap is not None and degree * k > cap:
+            raise DegreeCapError(degree * k, cap)
+        if len(base) == 1:
+            # c X^e in one step; checking c^k alone is exact, and a c^k
+            # with at least 2^(k (bits(c) - 1)) on its larger side is
+            # rejected unformed (see the module docstring)
+            ((e, c),) = base.items()
+            if k * (_bits(c) - 1) >= MAX_COEFF_BITS:
+                raise _too_large(offset)
+            return self.bounded({e * k: c ** k}, offset)
+        # square and multiply with every step bounded, so a power whose
+        # coefficients outgrow the bound stops within a few squarings
+        # instead of being computed
+        out: Terms = {0: Q(1)}
+        while k:
+            if k & 1:
+                out = self.bounded(_mul(out, base), offset)
+            k >>= 1
+            if k:
+                base = self.bounded(_mul(base, base), offset)
+        return out
+
+    def atom(self) -> Terms:
         kind, text, _ = self.peek()
         if kind == "int":
             self.take()
@@ -190,11 +233,11 @@ class _Parser:
                 if int(dtext) == 0:
                     _, _, off = self.tokens[self.pos - 1]
                     raise ParseError("zero denominator", off)
-                return Poly.of(Q(num, int(dtext)))
-            return Poly.of(Q(num))
+                return {0: Q(num, int(dtext))} if num else {}
+            return {0: Q(num)} if num else {}
         if kind == "var":
             self.take()
-            return X
+            return {1: Q(1)}
         if kind == "(":
             _, _, offset = self.take()
             self.depth += 1
@@ -213,10 +256,11 @@ class _Parser:
 def parse_poly(text: str, degree_cap: Optional[int] = None) -> Poly:
     """Parse text to a Poly; ParseError carries the byte offset."""
     parser = _Parser(text, degree_cap)
-    p = parser.expr()
+    terms = parser.expr()
     kind, _, offset = parser.peek()
     if kind != "end":
         parser.fail(("+", "-", "*", "^", "end of input"))
+    p = Poly.from_support(terms)
     if degree_cap is not None and p.degree > degree_cap:
         raise DegreeCapError(p.degree, degree_cap)
     return p

@@ -68,7 +68,7 @@ class Poly:
             return Poly(())
         cs = [Q(0)] * (max(terms) + 1)
         for e, c in terms.items():
-            cs[e] += Q(c)
+            cs[e] = Q(c)
         return Poly(_strip(cs))
 
     @staticmethod

@@ -231,7 +231,7 @@ def test_modular_image_slots_never_carry():
 
 
 def _symmetry(p: Poly):
-    return affine_symmetry(p, index_data(p), critical_structure(p))
+    return affine_symmetry(index_data(p), critical_structure(p))
 
 
 def test_affine_symmetry_orders():
@@ -297,7 +297,7 @@ def test_affine_symmetry_matches_the_shifted_radical():
     repeated = symmetric = 0
     for p in corpus:
         cs = critical_structure(p)
-        got = affine_symmetry(p, index_data(p), cs)
+        got = affine_symmetry(index_data(p), cs)
         assert got == _reference_symmetry(p), p
         repeated += cs.has_zero_value
         symmetric += got is not None

@@ -283,6 +283,28 @@ def test_reports_are_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_repeated_calls_share_the_parser_and_leak_nothing(capsys):
+    # each flag is followed by a call without it, so an option that
+    # stayed set from the call before would show in the second output
+    runs = [("classify", "--text", "X^4+X+1"),
+            ("classify", "--json", "X^4+X+1"),
+            ("classify", "--seed", "5", "X^4+X+1"),
+            ("classify", "X^4+X+1"),
+            ("curve", "--c=-1/3", "--", "X^4+X+1"),
+            ("curve", "--", "X^4+X+1"),
+            ("classify", "--degree-cap", "3", "X^4+X+1"),
+            ("classify", "X^4+X+1")]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    shared = cli.build_parser()
+    assert [run_cli(capsys, *argv) for argv in runs] == fresh
+    assert cli.build_parser() is shared
+    # --json is the default; every other flag changes the report
+    assert len({out for _, out, _ in fresh}) == 6
+
+
 def test_no_floats_anywhere(capsys):
     _, out, _ = run_cli(capsys, "classify", "1/2X^5 - 3/4X^2")
 

@@ -10,17 +10,22 @@ to degree 64 and compares all three with sympy; ``separation_mod_p`` is
 stubbed there, so that no exact value polynomial is built. Fixed inputs
 that are squarefree over Q but not certified modulo q, because q divides
 the leading coefficient or two roots meet modulo q, must still come back
-as one factor of multiplicity 1, from Yun's algorithm.
+as one factor of multiplicity 1, from Yun's algorithm. Two counts pin
+that ``critical_structure`` splits P' and P once for its readers:
+``affine_symmetry`` and the scaled curve census take no split of their
+own.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as Q
 from unittest import mock
 
 import pytest
 
-from uniqpoly import criteria, polynomials
+from uniqpoly import cli, criteria, polynomials
+from uniqpoly.classify import classify
 from uniqpoly.polynomials import (
     GCD_PRIMES,
     Poly,
@@ -119,3 +124,43 @@ def test_q_unlucky_inputs_go_through_yun(monkeypatch):
         want = sorted((Q(int(r.p), int(r.q)), m)
                       for r, m in _to_sympy(p).ground_roots().items())
         assert rational_roots(p) == want, p
+
+
+def _count_splits(monkeypatch) -> list[Poly]:
+    seen: list[Poly] = []
+    exact = polynomials.squarefree_parts
+
+    def counted(p):
+        seen.append(p)
+        return exact(p)
+
+    # criteria binds the name itself; radical and rational_roots look it
+    # up in polynomials
+    monkeypatch.setattr(criteria, "squarefree_parts", counted)
+    monkeypatch.setattr(polynomials, "squarefree_parts", counted)
+    return seen
+
+
+def test_classify_splits_p_once_before_its_replay(monkeypatch):
+    # P' once and P once in critical_structure; affine_symmetry reads P's
+    # radical off that split, and only the independent replay of the
+    # zero-set-symmetry witness splits P again
+    p = X * (X - 1)**2 * (X + 1)
+    seen = _count_splits(monkeypatch)
+    v = classify(p)
+    assert [f.degree for f in seen] == [3, 4, 4]
+    assert any(w.case == "zero-set-symmetry"
+               for w in v.witnesses.values() if w is not None)
+
+
+def test_scaled_census_reads_the_split_of_p_prime(monkeypatch, capsys):
+    # P' = (X - 1)^2 (4X + 5) is not squarefree, so a second split would
+    # rerun Yun's algorithm; the census reads its rational critical
+    # points off the factors critical_structure kept
+    p = (X - 1)**3 * (X + 2) + 5
+    seen = _count_splits(monkeypatch)
+    assert cli.main(["curve", "--c=2", "--", "(X-1)^3(X+2) + 5"]) == 0
+    census = json.loads(capsys.readouterr().out)["scaled_curve"]["census"]
+    assert census["critical_points"] == ["-5/4", "1"]
+    dp = p.derivative().monic()
+    assert sum(f.monic() == dp for f in seen) == 1
