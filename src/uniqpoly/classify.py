@@ -135,7 +135,7 @@ def _scaling_witness(order: int, c_exponent: int, center: Fraction) -> Witness:
 
 def verify_witness(p: Poly, w: Witness) -> bool:
     """Replay a witness from scratch against p."""
-    if w.kind in ("scaling", "scaling-with-c", "affine"):
+    if w.kind in ("scaling", "scaling-with-c"):
         return _verify_linear(p, w)
     if w.kind == "paper-exception":
         return _verify_exception(p, w)
@@ -243,16 +243,6 @@ class Verdict:
 
     def slot(self, name: str) -> str:
         return getattr(self, name)
-
-    def as_dict(self) -> dict:
-        out: dict = {name: self.slot(name) for name in SLOTS}
-        out["rule_trace"] = [r.as_dict() for r in self.rule_trace]
-        out["witnesses"] = {
-            name: w.as_dict() for name, w in self.witnesses.items()
-        }
-        if self.out_of_scope_reasons:
-            out["out_of_scope_reasons"] = dict(self.out_of_scope_reasons)
-        return out
 
 
 class _Builder:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .polynomials import (
@@ -59,6 +59,9 @@ class NormalForm:
     scale: Fraction
 
 
+# classify's index_data and the audit's corollary_shape both normalize P;
+# a second entry keeps P while affine_symmetry normalizes its radical
+@lru_cache(maxsize=2)
 def normalize(p: Poly) -> NormalForm:
     n = p.degree
     if n < 1:

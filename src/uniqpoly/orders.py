@@ -37,8 +37,6 @@ from .curves import Configuration
 #   ("coord", "X")  a bare coordinate, numerator only
 Atom = tuple
 
-VERDICT_RANK = {"none": 0, "algebraic": 1, "brody": 2}
-
 # Standing assumptions recorded on certificates.  The engine itself never
 # checks them; callers discharge them with concrete-curve evidence.
 ASSUME_SEPARATED = "separated-critical-values"
@@ -296,12 +294,6 @@ class PointModel:
 class OrderLedger:
     config: Configuration
     points: tuple[PointModel, ...]
-
-    def crossing(self, i: int) -> PointModel:
-        for p in self.points:
-            if p.kind == "crossing" and p.index == i:
-                return p
-        raise KeyError(f"no crossing for index {i}")
 
 
 def build_ledger(config: Configuration) -> OrderLedger:
@@ -712,8 +704,7 @@ def _scaled_brody_routes(config, ledger):
         i1, i2 = order[0], order[1]
         if ms[1] < 2 or i1 not in dom or i2 not in dom:
             return None
-        if l == 2 and ms == [2, 2]:
-            return None
+        # [2, 2] with both indices paired is not granted brody
         link = atom_link(i1, i2)
         m1, m2 = m[i1], m[i2]
         w1 = form("YZ", {link: m1 + m2 - 2}, {atom_x(i1): m1, atom_x(i2): m2})
@@ -725,38 +716,33 @@ def _scaled_brody_routes(config, ledger):
             w2 = form("YZ", {link: m1 - 1}, {atom_x(i1): m1, atom_x(i2): 1})
             return _pair(config, ledger, w1, w2, "linear-span",
                          ((link,), (atom_x(i2),)), base)
-        if m1 == 2 and l >= 3:
-            third_paired = [k for k in dom if k not in (i1, i2)]
-            if third_paired:
-                k = third_paired[0]
-                w2 = form("YZ", {link: 1, atom_link(i2, k): 1, atom_link(i1, k): 1},
-                          {atom_x(i1): 2, atom_x(i2): 2, atom_x(k): 1})
-                return _pair(config, ledger, w1, w2, "conic-exclusion",
-                             ((link, atom_x(k)), (atom_link(i2, k), atom_link(i1, k))),
-                             conic)
-            u = next(k for k in range(l) if k not in (i1, i2))
-            w2 = form("YZ", {link: 2}, {atom_x(i1): 2, atom_x(i2): 1, atom_x(u): 1})
-            return _pair(config, ledger, w1, w2, "linear-span",
-                         ((atom_x(u),), (atom_x(i2),)), base)
-        return None
+        # left: m1 == 2, l >= 3; for m1 >= 5 paired_mismatch_wide has run
+        third_paired = [k for k in dom if k not in (i1, i2)]
+        if third_paired:
+            k = third_paired[0]
+            w2 = form("YZ", {link: 1, atom_link(i2, k): 1, atom_link(i1, k): 1},
+                      {atom_x(i1): 2, atom_x(i2): 2, atom_x(k): 1})
+            return _pair(config, ledger, w1, w2, "conic-exclusion",
+                         ((link, atom_x(k)), (atom_link(i2, k), atom_link(i1, k))),
+                         conic)
+        u = next(k for k in range(l) if k not in (i1, i2))
+        w2 = form("YZ", {link: 2}, {atom_x(i1): 2, atom_x(i2): 1, atom_x(u): 1})
+        return _pair(config, ledger, w1, w2, "linear-span",
+                     ((atom_x(u),), (atom_x(i2),)), base)
 
     def deep_anchor_family():
         if ms[1] != 1 or l < 3 or ms[0] < 2:
             return None
         i1 = order[0]
         if i1 in unpaired:
-            if m[i1] != 2 or len(unpaired) > 1:
-                return None  # other shapes covered by earlier routes
-            cands = [i for i in dom if tau[i] != i1 and i != i1]
-            if not cands:
-                return None
-            i = cands[0]
+            # m[i1] == 2 and no other index is unpaired: unpaired_deep_pair
+            # and two_unpaired_sum_three took the rest; tau is injective
+            i = next(i for i in dom if tau[i] != i1)
             fa = form("YZ", {}, {atom_x(i1): 2})
             fb = form("YZ", {atom_y(tau[i]): 1}, {atom_x(i1): 2, atom_x(i): 1})
             return _pair(config, ledger, fa, fb, "linear-span",
                          ((atom_x(i),), (atom_y(tau[i]),)), base)
-        if m[i1] not in (2, 3):
-            return None  # wider gaps went through the mismatch route
+        # m[i1] is 2 or 3: its partner is simple, so paired_mismatch_wide took m[i1] >= 4
         others_unpaired = [k for k in unpaired if k != i1]
         if others_unpaired:
             u = others_unpaired[0]
@@ -765,10 +751,7 @@ def _scaled_brody_routes(config, ledger):
             return _pair(config, ledger, fa, fb, "linear-span",
                          ((atom_x(i1),), (atom_y(tau[i1]),)), base)
         # everything paired: anchor a connector at the deep crossing
-        cands = [i for i in dom if i != i1 and tau[i] != i1]
-        if not cands:
-            return None
-        i2 = cands[0]
+        i2 = next(i for i in dom if i != i1 and tau[i] != i1)  # tau is injective
         i3 = next(k for k in range(l) if k not in (i1, i2))
         fa = form("YZ", {atom_link(i1, i2): 1}, {atom_x(i1): 2, atom_x(i2): 1})
         fb = form("YZ", {atom_link(i1, i3): 1, atom_link(i2, i3): 1},
@@ -778,9 +761,8 @@ def _scaled_brody_routes(config, ledger):
                       (atom_link(i1, i3), atom_link(i2, i3))), conic)
 
     def all_ones_family():
-        if ms[0] != 1 or l < 4:
-            return None
-        if len(unpaired) == 1 and len(dom) >= 3:
+        # earlier routes took a multiple point, l <= 3 and two unpaired indices
+        if not all_paired:
             u = unpaired[0]
             d1, d2, d3 = sorted(dom)[:3]
             fa = form("YZ", {atom_link(d1, d2): 1},
@@ -790,16 +772,14 @@ def _scaled_brody_routes(config, ledger):
             return _pair(config, ledger, fa, fb, "conic-exclusion",
                          ((atom_link(d1, d2), atom_x(d3)),
                           (atom_link(d1, d3), atom_x(d2))), conic)
-        if all_paired:
-            d1, d2, d3, d4 = sorted(dom)[:4]
-            den = {atom_x(d1): 1, atom_x(d2): 1, atom_x(d3): 1, atom_x(d4): 1}
-            fa = form("YZ", {atom_link(d1, d2): 1, atom_link(d3, d4): 1}, den)
-            fb = form("YZ", {atom_link(d1, d3): 1, atom_link(d2, d4): 1}, den)
-            return _pair(config, ledger, fa, fb, "conic-exclusion",
-                         ((atom_link(d1, d2), atom_link(d3, d4)),
-                          (atom_link(d1, d3), atom_link(d2, d4))),
-                         conic + (ASSUME_LINES_DISTINCT,))
-        return None
+        d1, d2, d3, d4 = sorted(dom)[:4]
+        den = {atom_x(d1): 1, atom_x(d2): 1, atom_x(d3): 1, atom_x(d4): 1}
+        fa = form("YZ", {atom_link(d1, d2): 1, atom_link(d3, d4): 1}, den)
+        fb = form("YZ", {atom_link(d1, d3): 1, atom_link(d2, d4): 1}, den)
+        return _pair(config, ledger, fa, fb, "conic-exclusion",
+                     ((atom_link(d1, d2), atom_link(d3, d4)),
+                      (atom_link(d1, d3), atom_link(d2, d4))),
+                     conic + (ASSUME_LINES_DISTINCT,))
 
     return [
         ("unpaired-deep-coordinate-pair", unpaired_deep_pair),
@@ -853,12 +833,11 @@ def _scaled_alg_routes(config, ledger):
         return None
 
     def all_ones_alg():
-        if ms[0] == 1 and len(unpaired) == 1 and len(dom) >= 2:
-            u = unpaired[0]
-            d1, d2 = sorted(dom)[:2]
-            return single(form("YZ", {atom_link(d1, d2): 1},
-                               {atom_x(d1): 1, atom_x(d2): 1, atom_x(u): 1}))
-        return None
+        # of the five granted algebraic but not brody, only (1,1,1) gets here
+        u = unpaired[0]
+        d1, d2 = sorted(dom)[:2]
+        return single(form("YZ", {atom_link(d1, d2): 1},
+                           {atom_x(d1): 1, atom_x(d2): 1, atom_x(u): 1}))
 
     return [
         ("unpaired-deep", unpaired_deep),

@@ -84,9 +84,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() rejects superscripts such as '²'
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ParseError(f"integer literal longer than "

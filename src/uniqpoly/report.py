@@ -13,7 +13,6 @@ two output modes carry identical information.
 from __future__ import annotations
 
 import json
-from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -28,10 +27,10 @@ TOOL_NAME = "uniqpoly"
 def jsonable(value: Any) -> Any:
     """Convert nested data to JSON-safe types.
 
-    Fractions become "p/q" strings (bare "p" for integers); dataclasses go
-    through their own as_dict when they have one; tuples become lists.
-    Floats are rejected outright: an exact tool has no business reporting
-    one.
+    None, bools, ints and strings pass through; Fractions become "p/q"
+    strings (bare "p" for integers); dicts get string keys; tuples become
+    lists; anything else becomes its str. Floats are rejected outright:
+    an exact tool has no business reporting one.
     """
     if isinstance(value, bool) or value is None:
         return value
@@ -47,10 +46,6 @@ def jsonable(value: Any) -> Any:
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if is_dataclass(value) and hasattr(value, "as_dict"):
-        return jsonable(value.as_dict())
-    if isinstance(value, Poly):
-        return str(value)
     return str(value)
 
 

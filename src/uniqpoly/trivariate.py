@@ -3,7 +3,7 @@
 Sparse representation: ``terms[(i, j, k)]`` is the coefficient of
 X^i Y^j Z^k, with i + j + k equal across all terms. These carry the
 projective curves cut out by value sharing; only exact operations are
-provided (arithmetic, partials, evaluation, division by powers of Z).
+provided (arithmetic, partials, division by powers of Z).
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class TriPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, e: Exp) -> Fraction:
-        return self.terms.get(e, Q(0))
-
     def __add__(self, other: "TriPoly") -> "TriPoly":
         if self.is_zero:
             return other
@@ -87,12 +84,6 @@ class TriPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TriPoly":
-        out = TriPoly({(0, 0, 0): Q(1)})
-        for _ in range(n):
-            out = out * self
-        return out
-
     def partial(self, var: str) -> "TriPoly":
         axis = "xyz".index(var.lower())
         out: dict[Exp, Fraction] = {}
@@ -103,13 +94,6 @@ class TriPoly:
             ne[axis] -= 1
             out[tuple(ne)] = c * e[axis]
         return TriPoly(out)
-
-    def evaluate(self, x, y, z) -> Fraction:
-        x, y, z = Q(x), Q(y), Q(z)
-        acc = Q(0)
-        for (i, j, k), c in self.terms.items():
-            acc += c * x**i * y**j * z**k
-        return acc
 
     def z_multiplicity(self) -> int:
         """Largest k with Z^k dividing self (0 for the zero form)."""

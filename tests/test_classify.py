@@ -290,6 +290,18 @@ def _count_calls(monkeypatch, module, name, calls=None) -> list:
     return calls
 
 
+def test_classify_and_audit_normalize_once(monkeypatch):
+    # the audit's corollary_shape reuses the normal form index_data built;
+    # this input has no symmetry, so no witness replay shifts it either
+    from uniqpoly.criteria import normalize
+    normalize.cache_clear()
+    calls = _count_calls(monkeypatch, Poly, "taylor_shift")
+    p = X**7 + 3 * X**5 - 2 * X**4 + X**3 + 5 * X + 1
+    v = classify(p)
+    assert consistency_audit(p, v)["ok"]
+    assert len(calls) == 1
+
+
 def test_classify_computes_index_data_once(monkeypatch):
     from uniqpoly import criteria
 
@@ -335,8 +347,11 @@ def test_audit_replays_a_shared_witness_once(monkeypatch):
 
 def test_trace_is_json_friendly():
     import json
-    v = classify(X**4 - 4 * X)
+
+    from uniqpoly.report import classify_report
+    p = X**4 - 4 * X
+    v = classify(p)
     for step in v.rule_trace:
         json.dumps(step.inputs, default=str)
-    d = v.as_dict()
-    json.dumps(d, default=str)
+    rep = classify_report(str(p), p, v, consistency_audit(p, v))
+    json.dumps(rep)

@@ -139,7 +139,7 @@ def test_constraint_gcd_matches_sympy():
 
 
 def _results(p: Poly) -> tuple:
-    return classify(p).as_dict(), critical_structure(p), _constraint_gcd(p)
+    return classify(p), critical_structure(p), _constraint_gcd(p)
 
 
 def _inputs_with_denominators() -> list[Poly]:

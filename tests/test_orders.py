@@ -12,7 +12,6 @@ from uniqpoly.orders import (
     ASSUME_NO_LINEAR,
     ASSUME_SCALE_RIGID,
     ASSUME_SEPARATED,
-    VERDICT_RANK,
     FormSpec,
     RouteError,
     _scaled_alg_routes,
@@ -35,6 +34,13 @@ from uniqpoly.report import jsonable
 
 DIAG = ("diag",)
 
+VERDICT_RANK = {"none": 0, "algebraic": 1, "brody": 2}
+
+
+def crossing(ledger, i):
+    """The ledger's crossing point over critical point i."""
+    return next(p for p in ledger.points if p.kind == "crossing" and p.index == i)
+
 
 # ---------------------------------------------------------------------------
 # ledger construction
@@ -45,7 +51,7 @@ def test_scaled_crossing_locks_contact_ratio():
     # ord(x) = t, ord(y) = 2t
     cfg = Configuration("scaled", (3, 1), ((0, 1),))
     led = build_ledger(cfg)
-    c = led.crossing(0)
+    c = crossing(led, 0)
     assert c.x_scale == 1 and c.y_scale == 2
     ox = c.order_of(atom_x(0))
     oy = c.order_of(atom_y(1))
@@ -58,7 +64,7 @@ def test_scaled_crossing_locks_contact_ratio():
 
 def test_scaled_crossing_equal_multiplicities():
     cfg = Configuration("scaled", (2, 2), ((0, 1),))
-    c = build_ledger(cfg).crossing(0)
+    c = crossing(build_ledger(cfg), 0)
     assert c.x_scale == 1 and c.y_scale == 1
 
 
@@ -66,14 +72,14 @@ def test_scaled_crossing_coprime_contact_orders():
     # multiplicities 3 and 2: 4*ord(x) = 3*ord(y) with gcd(4,3)=1 forces
     # ord(x) divisible by 3
     cfg = Configuration("scaled", (3, 2), ((0, 1),))
-    c = build_ledger(cfg).crossing(0)
+    c = crossing(build_ledger(cfg), 0)
     assert c.x_scale == 3 and c.y_scale == 4
 
 
 def test_shared_crossing_and_fibers():
     cfg = Configuration("shared", (2, 2))
     led = build_ledger(cfg)
-    c = led.crossing(1)
+    c = crossing(led, 1)
     assert c.order_of(atom_x(1)).g_coef == 1
     assert c.order_of(atom_y(1)).g_coef == 1
     od = c.order_of(DIAG)

@@ -33,6 +33,7 @@ def test_basic_forms():
     assert parse_poly(" X ^ 2 - 3 ") == X**2 - 3
     assert parse_poly("0") == Poly.zero()
     assert parse_poly("-7") == Poly.of(Q(-7))
+    assert parse_poly("X^٣") == X**3  # any decimal digit int() reads
 
 
 def test_rational_literals():
@@ -72,6 +73,12 @@ def test_error_offsets():
     with pytest.raises(ParseError) as info:
         parse_poly("X$")
     assert info.value.offset == 1
+
+    # '²' is a digit to str.isdigit but not a decimal that int() reads
+    for text, offset in (("X²+1", 1), ("X^²", 2)):
+        with pytest.raises(ParseError, match="unexpected character '²'") as info:
+            parse_poly(text)
+        assert info.value.offset == offset
 
     with pytest.raises(ParseError) as info:
         parse_poly("(X+1")
@@ -574,3 +581,15 @@ def test_selftest_fast(capsys):
     assert rep["all_ok"] is True
     assert len(rep["criteria"]) == 9
     assert all(c["ok"] for c in rep["criteria"])
+
+
+def test_selftest_without_numpy_fails_one_criterion(capsys, monkeypatch):
+    # numpy comes only with the test extra; a None entry makes it unimportable
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, out, _ = run_cli(capsys, "selftest", "--fast")
+    rep = json.loads(out)
+    assert code == 4
+    assert rep["all_ok"] is False
+    assert [c for c in rep["criteria"] if not c["ok"]] == [{
+        "name": "separation-float-agreement", "ok": False, "cases": 0,
+        "detail": "numpy is not installed"}]
