@@ -292,7 +292,6 @@ class PointModel:
 
 @dataclass(frozen=True)
 class OrderLedger:
-    config: Configuration
     points: tuple[PointModel, ...]
 
 
@@ -335,7 +334,7 @@ def build_ledger(config: Configuration) -> OrderLedger:
                               curve_kind=config.kind, m_i=m[i]))
     pts.append(PointModel(label="infinity", kind="infinity", index=None,
                           curve_kind=config.kind))
-    return OrderLedger(config, tuple(pts))
+    return OrderLedger(tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -571,11 +570,10 @@ def scaled_statement_grants(config: Configuration) -> tuple[bool, bool]:
     """(algebraic granted, brody granted) for a scaled configuration.
 
     The grants depend only on the multiplicity profile, which indices are
-    paired, and the one exceptional all-simple three-cycle.
+    paired, and the one exceptional all-simple three-cycle. Needs at
+    least two critical points, as ``_scaled_verdict`` ensures.
     """
     m, l, tau, dom, unpaired, all_paired, order = _scaled_stats(config)
-    if l < 2:
-        return False, False
     ms = [m[i] for i in order]
     m2 = ms[1]
     simple_unpaired = [i for i in unpaired if m[i] == 1]

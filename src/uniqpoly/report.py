@@ -29,8 +29,9 @@ def jsonable(value: Any) -> Any:
 
     None, bools, ints and strings pass through; Fractions become "p/q"
     strings (bare "p" for integers); dicts get string keys; tuples become
-    lists; anything else becomes its str. Floats are rejected outright:
-    an exact tool has no business reporting one.
+    lists. Any other type raises TypeError, floats included: an exact
+    tool has no business reporting one, and a value of a type no report
+    expects must fail loudly rather than print as its str.
     """
     if isinstance(value, bool) or value is None:
         return value
@@ -38,15 +39,13 @@ def jsonable(value: Any) -> Any:
         return format_rational(value)
     if isinstance(value, int):
         return value
-    if isinstance(value, float):
-        raise TypeError("reports must not contain floats")
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    return str(value)
+    raise TypeError(f"reports carry no {type(value).__name__} values")
 
 
 def base_report(command: str) -> dict:

@@ -24,6 +24,7 @@ from uniqpoly.parser import (
     parse_poly,
 )
 from uniqpoly.polynomials import Poly, X
+from uniqpoly.report import jsonable
 
 
 # parser
@@ -326,6 +327,16 @@ def test_no_floats_anywhere(capsys):
                 walk(v)
 
     walk(json.loads(out))
+
+
+def test_jsonable_rejects_types_no_report_carries():
+    # a value of an unexpected type fails loudly instead of printing as
+    # its str; a Poly goes into a report through format_poly, never here
+    for value in (object(), 0.5, [Poly.of(1, 1)], {"k": (1, object())}):
+        with pytest.raises(TypeError):
+            jsonable(value)
+    assert jsonable({1: (Q(1, 2), None, True, "s")}) == {
+        "1": ["1/2", None, True, "s"]}
 
 
 def test_text_mode_renders_same_structure(capsys):
