@@ -1,14 +1,14 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Dense representation: ``coeffs[i]`` is the coefficient of X^i, trailing zeros
-stripped, so the zero polynomial is the empty tuple. Coefficients are
-fractions.Fraction and every operation is exact; nothing here rounds. The
-Taylor shift P(X + u/v) runs on integer numerators: synthetic division by
-the integer u on the coefficients of v^n D P(X/v), D their common
-denominator, then one division per coefficient.
+A Poly is its content, a Fraction, times ``prim``, a primitive integer
+vector: ascending, constant term first, last entry positive, and () for
+zero, whose content is 1. Every routine over Z or F_q reads ``prim`` and
+``content`` directly; ``coeffs`` is the Fraction view, built on first
+read. Nothing here rounds. The Taylor shift P(X + u/v) is synthetic
+division by the integer u on v^n prim(X/v).
 
-The resultant uses a subresultant pseudo-remainder sequence over cleared
-integer coefficients, gcd uses a primitive PRS, interpolation uses
+The resultant uses a subresultant pseudo-remainder sequence on the
+primitive vectors, gcd uses a primitive PRS, interpolation uses
 Newton's divided differences, and the cyclotomic polynomial Phi_r comes
 from exact division of X^r - 1. Sums and products skip zero
 coefficients, so building a polynomial term by term costs in proportion
@@ -36,237 +36,11 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Q = Fraction
-
-
-def _strip(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Univariate polynomial over Q, immutable and hashable."""
-
-    coeffs: tuple[Fraction, ...]
-
-    # construction
-
-    @staticmethod
-    def of(*coeffs) -> "Poly":
-        """Build from ascending coefficients, constant term first."""
-        return Poly(_strip([Q(c) for c in coeffs]))
-
-    @staticmethod
-    def from_support(terms: dict[int, Fraction | int]) -> "Poly":
-        if not terms:
-            return Poly(())
-        cs = [Q(0)] * (max(terms) + 1)
-        for e, c in terms.items():
-            cs[e] = Q(c)
-        return Poly(_strip(cs))
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly(())
-
-    # basic queries
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with degree(0) = -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coeff(self, e: int) -> Fraction:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else Q(0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
-
-    # ring operations
-
-    def __add__(self, other) -> "Poly":
-        # copy the longer operand and add in the nonzero terms of the
-        # shorter, so adding a monomial costs one addition
-        a, b = self.coeffs, _coerce(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            if c:
-                cs[i] += c
-        return Poly(_strip(cs))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c if c else c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly(())
-            other = Q(other)
-            return Poly(tuple(other * c if c else c for c in self.coeffs))
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        cs = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        # only nonzero pairs contribute, so a monomial factor costs one
-        # product per term of the other
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in right:
-                    cs[i + j] += a * b
-        return Poly(_strip(cs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly.of(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        other = _coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Fraction] = {}
-        rem = list(self.coeffs)
-        d = other.degree
-        inv = 1 / other.lc
-        while len(rem) - 1 >= d and rem:
-            lead = rem[-1] * inv
-            shift = len(rem) - 1 - d
-            q[shift] = lead
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= lead * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly.from_support(q), Poly(_strip(rem))
-
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, _coerce(other))[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, _coerce(other))[1]
-
-    def exact_div(self, other) -> "Poly":
-        # on the primitive integer forms: by Gauss's lemma a primitive
-        # divisor over Q of an integer polynomial divides it over Z
-        fa, a = _int_clear(self)
-        fb, b = _int_clear(_coerce(other))
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        return Poly.of(*_int_divexact(a, b)) * (fa / fb)
-
-    # calculus and substitution
-
-    def derivative(self) -> "Poly":
-        return Poly(_strip([i * c for i, c in enumerate(self.coeffs)][1:]))
-
-    def evaluate(self, x) -> Fraction:
-        x = Q(x)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def taylor_shift(self, a) -> "Poly":
-        """P(X + a), by synthetic division on integers.
-
-        With a = u/v and D the lcm of the denominators, s_i = D a_i
-        v^(n-i) are the coefficients of the integer polynomial
-        v^n D P(X/v); shifting it by the integer u leaves coefficient j
-        of P(X + a) as s_j / (v^(n-j) D).
-        """
-        a = Q(a)
-        n = self.degree
-        if a == 0 or n < 1:
-            return self
-        u, v = a.numerator, a.denominator
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        s = [c.numerator * (den // c.denominator) * v ** (n - i)
-             for i, c in enumerate(self.coeffs)]
-        for k in range(n):
-            for i in range(n - 1, k - 1, -1):
-                s[i] += u * s[i + 1]
-        return Poly(tuple(Q(c, den * v ** (n - j)) for j, c in enumerate(s)))
-
-    def scale_input(self, c) -> "Poly":
-        """P(c X)."""
-        c = Q(c)
-        return Poly(_strip([co * c**i for i, co in enumerate(self.coeffs)]))
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self * (1 / self.lc)
-
-    def __str__(self) -> str:
-        from .parser import format_poly
-
-        return format_poly(self)
-
-
-def _coerce(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Poly.of(v)
-    raise TypeError(f"cannot treat {type(v).__name__} as a polynomial")
-
-
-X = Poly.of(0, 1)
-
-
-# integer clearing, shared by gcd and resultant
-
-def _int_clear(p: Poly) -> tuple[Fraction, list[int]]:
-    """Write p = factor * prim with prim a primitive integer polynomial.
-
-    The sign convention keeps prim's leading coefficient positive.
-    """
-    if p.is_zero:
-        return Q(1), []
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Q(g, den), [c // g for c in ints]
 
 
 def _ideg(cs: Sequence[int]) -> int:
@@ -279,8 +53,239 @@ def _istrip(cs: list[int]) -> list[int]:
     return cs
 
 
-def _icontent(cs: Sequence[int]) -> int:
-    return math.gcd(*cs) if cs else 0
+@dataclass(frozen=True, init=False)
+class Poly:
+    """Univariate polynomial over Q, immutable and hashable: ``content``
+    times the primitive vector ``prim``. ``Poly(coeffs)`` takes ascending
+    ints or Fractions, constant term first."""
+
+    content: Fraction
+    prim: tuple[int, ...]
+
+    # construction
+
+    def __new__(cls, coeffs: Iterable = ()) -> "Poly":
+        cs = [Q(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (den // c.denominator) for c in cs],
+                     Q(1, den))
+
+    @staticmethod
+    def of(*coeffs) -> "Poly":
+        """Build from ascending coefficients, constant term first."""
+        return Poly(coeffs)
+
+    @staticmethod
+    def from_support(terms: dict[int, Fraction | int]) -> "Poly":
+        return Poly(terms.get(e, 0) for e in range(max(terms, default=-1) + 1))
+
+    @staticmethod
+    def zero() -> "Poly":
+        return Poly()
+
+    # basic queries
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending coefficients as Fractions, the top one nonzero."""
+        c = self.content
+        return tuple(c * x for x in self.prim)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.prim
+
+    @property
+    def degree(self) -> int:
+        """Degree, with degree(0) = -1."""
+        return len(self.prim) - 1
+
+    @property
+    def lc(self) -> Fraction:
+        if not self.prim:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.content * self.prim[-1]
+
+    def __bool__(self) -> bool:
+        return bool(self.prim)
+
+    def coeff(self, e: int) -> Fraction:
+        return self.coeffs[e] if 0 <= e < len(self.prim) else Q(0)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, c in enumerate(self.prim) if c)
+
+    # ring operations
+
+    def __add__(self, other) -> "Poly":
+        other = _coerce(other)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        # over num/den, the gcd of the contents, add the nonzero terms of
+        # the shorter vector into a copy of the longer
+        a, b = self.content, other.content
+        num = math.gcd(a.numerator, b.numerator)
+        den = math.lcm(a.denominator, b.denominator)
+        x, ka = self.prim, a.numerator // num * (den // a.denominator)
+        y, kb = other.prim, b.numerator // num * (den // b.denominator)
+        if len(x) < len(y):
+            x, ka, y, kb = y, kb, x, ka
+        cs = [ka * c for c in x]
+        for i, c in enumerate(y):
+            if c:
+                cs[i] += kb * c
+        return _poly(cs, Q(num, den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return _poly(self.prim, -self.content, primitive=True)
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-_coerce(other))
+
+    def __rsub__(self, other) -> "Poly":
+        return _coerce(other) + (-self)
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            return _poly(self.prim, self.content * other, primitive=True)
+        other = _coerce(other)
+        x, y = self.prim, other.prim
+        cs = [0] * (len(x) + len(y) - 1)
+        # only nonzero pairs contribute, so a monomial factor costs one
+        # product per term of the other
+        right = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in right:
+                    cs[i + j] += a * b
+        return _poly(cs, self.content * other.content, primitive=True)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative power")
+        out, base = Poly.of(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        other = _coerce(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q: dict[int, Fraction] = {}
+        rem, d, inv = list(self.coeffs), other.degree, 1 / other.lc
+        while len(rem) > d:
+            # the top term cancels exactly, so it is dropped, not computed
+            shift = len(rem) - 1 - d
+            lead = q[shift] = rem.pop() * inv
+            for i, c in enumerate(other.coeffs[:-1]):
+                rem[shift + i] -= lead * c
+            _istrip(rem)
+        return Poly.from_support(q), Poly(rem)
+
+    def __floordiv__(self, other) -> "Poly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other) -> "Poly":
+        return divmod(self, other)[1]
+
+    def exact_div(self, other) -> "Poly":
+        # by Gauss's lemma a primitive divisor over Q of a primitive
+        # integer polynomial divides it over Z, with a primitive quotient
+        other = _coerce(other)
+        if not other.prim:
+            raise ZeroDivisionError("polynomial division by zero")
+        return _poly(_int_divexact(self.prim, other.prim),
+                     self.content / other.content, primitive=True)
+
+    # calculus and substitution
+
+    def derivative(self) -> "Poly":
+        return _poly([i * c for i, c in enumerate(self.prim)][1:],
+                     self.content)
+
+    def evaluate(self, x) -> Fraction:
+        x = Q(x)
+        v = x.denominator
+        return self.content * Q(_screen(self.prim, x.numerator, v),
+                                v ** max(self.degree, 0))
+
+    def taylor_shift(self, a) -> "Poly":
+        """P(X + a), by synthetic division on integers.
+
+        With a = u/v and n = deg P, s_i = prim_i v^(n-i) are the
+        coefficients of the integer polynomial v^n prim(X/v); shifting it
+        by the integer u leaves P(X + a) = content v^(-n) sum s_j v^j X^j.
+        """
+        a = Q(a)
+        n = self.degree
+        if a == 0 or n < 1:
+            return self
+        u, v = a.numerator, a.denominator
+        s = [c * v ** (n - i) for i, c in enumerate(self.prim)]
+        for k in range(n):
+            for i in range(n - 1, k - 1, -1):
+                s[i] += u * s[i + 1]
+        return _poly([c * v ** j for j, c in enumerate(s)],
+                     self.content / v ** n)
+
+    def scale_input(self, c) -> "Poly":
+        """P(c X); with c = u/v, content v^(-n) times the integer
+        polynomial sum prim_i u^i v^(n-i) X^i."""
+        c = Q(c)
+        n = self.degree
+        if n < 1:
+            return self
+        u, v = c.numerator, c.denominator
+        return _poly([x * u ** i * v ** (n - i)
+                      for i, x in enumerate(self.prim)], self.content / v ** n)
+
+    def monic(self) -> "Poly":
+        if self.is_zero:
+            return self
+        return _poly(self.prim, Q(1, self.prim[-1]), primitive=True)
+
+    def __str__(self) -> str:
+        from .parser import format_poly
+
+        return format_poly(self)
+
+
+def _poly(ints: Sequence[int], content: Fraction = Q(1),
+          primitive: bool = False) -> Poly:
+    """content * ints as a Poly; unless the caller knows ints primitive
+    with a positive last entry, its gcd and sign move into the content."""
+    _istrip(ints)  # a prim, tuple or not, ends in a nonzero entry
+    if not ints or not content:
+        ints, content = (), Q(1)
+    elif not primitive:
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        if g != 1:
+            ints, content = [c // g for c in ints], content * g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "content", content)
+    object.__setattr__(p, "prim", tuple(ints))
+    return p
+
+
+def _coerce(v) -> Poly:
+    if isinstance(v, Poly):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Poly.of(v)
+    raise TypeError(f"cannot treat {type(v).__name__} as a polynomial")
+
+
+X = Poly.of(0, 1)
 
 
 def _pseudo_rem(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -304,15 +309,16 @@ def _pseudo_rem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q, primitive PRS over the cleared integer polynomials."""
+    """Monic gcd over Q, primitive PRS over the primitive vectors."""
     if p.is_zero:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    return Poly.of(*_int_gcd(_int_clear(p)[1], _int_clear(q)[1])).monic()
+    g = _int_gcd(p.prim, q.prim)
+    return _poly(g, Q(1, g[-1]), primitive=True)
 
 
-def _int_gcd(A: list[int], B: list[int]) -> list[int]:
+def _int_gcd(A: Sequence[int], B: Sequence[int]) -> list[int]:
     """Primitive gcd of nonzero integer polynomials, leading term positive."""
     if _ideg(A) < _ideg(B):
         A, B = B, A
@@ -320,12 +326,12 @@ def _int_gcd(A: list[int], B: list[int]) -> list[int]:
         R = _pseudo_rem(A, B)
         A = B
         if R:
-            c = _icontent(R)
+            c = math.gcd(*R)
             B = [x // c for x in R]
         else:
             B = []
-    c = _icontent(A) if A[-1] > 0 else -_icontent(A)
-    return [x // c for x in A]
+    # A is primitive, being a prim or a remainder over its content
+    return list(A) if A[-1] > 0 else [-x for x in A]
 
 
 # the three largest primes below 2^15, for the certificates modulo a
@@ -334,9 +340,10 @@ def _int_gcd(A: list[int], B: list[int]) -> list[int]:
 GCD_PRIMES = (32749, 32719, 32717)
 
 
-def _reduce_mod(f: Poly, p: int) -> list[int]:
-    return _istrip([c.numerator * pow(c.denominator, -1, p) % p
-                    for c in f.coeffs])
+def _reduce_mod(f: Poly, q: int) -> list[int]:
+    """f modulo a prime q that does not divide its content's denominator."""
+    c = f.content.numerator * pow(f.content.denominator, -1, q) % q
+    return _istrip([c * x % q for x in f.prim])
 
 
 def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -437,10 +444,11 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[bool]:
 
     The value polynomial is sep(t) = Res_X(rad, t - P), the product of
     t - P(alpha) over the roots alpha of the monic rad. With q the first
-    prime of ``GCD_PRIMES`` above l = deg rad that divides no denominator
-    of rad or P, every P(alpha) is integral at q, so sep mod q is the
-    characteristic polynomial of multiplication by P mod rad in
-    F_q[x]/(rad), built from the power sums of its roots by
+    prime of ``GCD_PRIMES`` above l = deg rad that divides neither content
+    denominator (so no coefficient's, as ``prim`` is primitive), every
+    P(alpha) is integral at q, so sep mod q is the characteristic
+    polynomial of multiplication by P mod rad in F_q[x]/(rad), built
+    from the power sums of its roots by
     ``_value_poly_mod``, monic of degree l. Since sep is monic,
     squarefree mod q makes it squarefree over Q: the critical values are
     distinct. False means only that q certified nothing; None means no
@@ -448,8 +456,8 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[bool]:
     """
     l = rad.degree
     for q in GCD_PRIMES:
-        if q <= l or any(c.denominator % q == 0
-                         for c in rad.coeffs + p.coeffs):
+        if q <= l or rad.content.denominator % q == 0 \
+                or p.content.denominator % q == 0:
             continue
         r = _reduce_mod(rad, q)
         return _squarefree_mod(
@@ -461,7 +469,7 @@ def resultant(p: Poly, q: Poly) -> Fraction:
     """Res(p, q) over Q.
 
     Subresultant PRS (single extra division per step keeps the integers
-    small); rational inputs are cleared first and corrected by
+    small) on the primitive vectors, corrected by the contents through
     Res(c*p, q) = c^deg(q) * Res(p, q).
     """
     if p.is_zero or q.is_zero:
@@ -473,22 +481,17 @@ def resultant(p: Poly, q: Poly) -> Fraction:
         return q.lc**dp
     if dp == 0:
         return p.lc**dq
-    fp, A = _int_clear(p)
-    fq, B = _int_clear(q)
-    return fp**dq * fq**dp * _int_resultant(A, B)
+    return (p.content**dq * q.content**dp
+            * _int_resultant(p.prim, q.prim))
 
 
-def _int_resultant(A: list[int], B: list[int]) -> int:
+def _int_resultant(A: Sequence[int], B: Sequence[int]) -> int:
+    """Res(A, B) for primitive integer polynomials of positive degree."""
     s = 1
     if _ideg(A) < _ideg(B):
         if _ideg(A) % 2 == 1 and _ideg(B) % 2 == 1:
             s = -s
         A, B = B, A
-    a = _icontent(A)
-    A = [c // a for c in A]
-    b = _icontent(B)
-    B = [c // b for c in B]
-    t = a ** _ideg(B) * b ** _ideg(A)
     g = h = 1
     while True:
         dA, dB = _ideg(A), _ideg(B)
@@ -506,24 +509,24 @@ def _int_resultant(A: list[int], B: list[int]) -> int:
         if _ideg(B) == 0:
             dA = _ideg(A)
             num = B[0] ** dA
-            return s * t * (num // h ** (dA - 1) if dA > 1 else num * h ** (1 - dA))
+            return s * (num // h ** (dA - 1) if dA > 1 else num * h ** (1 - dA))
 
 
 def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
     """Monic squarefree factors of p with multiplicities.
 
-    With f the primitive integer form of p: when q = ``GCD_PRIMES[0]``
-    does not divide lc(f) and gcd(f, f') = 1 in F_q, f is squarefree over
-    Q, since a square factor would stay one mod q, so the answer is
-    p.monic() alone and no gcd is taken. Otherwise Yun's algorithm splits
-    p over Q. The product of factor**mult over the result is p.monic().
+    With f = p.prim: when q = ``GCD_PRIMES[0]`` does not divide lc(f) and
+    gcd(f, f') = 1 in F_q, f is squarefree over Q, since a square factor
+    would stay one mod q, so the answer is p.monic() alone and no gcd is
+    taken. Otherwise Yun's algorithm splits p over Q. The product of
+    factor**mult over the result is p.monic().
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree splitting")
     p = p.monic()
     if p.degree == 0:
         return []
-    if _squarefree_mod(_int_clear(p)[1], GCD_PRIMES[0]):
+    if _squarefree_mod(p.prim, GCD_PRIMES[0]):
         return [(p, 1)]
     out: list[tuple[Poly, int]] = []
     g = poly_gcd(p, p.derivative())
@@ -570,7 +573,7 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
             nxt[i] -= xs[k] * c
         nxt[0] += dd[k]
         acc = nxt
-    return Poly(_strip(acc))
+    return Poly(acc)
 
 
 def _int_divexact(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -642,23 +645,19 @@ def _screen(f: Sequence[int], u: int, v: int) -> int:
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, ascending.
 
-    With f the primitive integer multiple of p, s the primitive integer
-    form of its ``radical`` and a = lc(s), the rational roots of p are the
-    Y/a for the integer roots Y of the monic g(Y) = a^(e-1) s(Y/a),
-    e = deg s. Each root u/v found is divided out of f as the factor
-    vX - u as often as f vanishes there.
+    With f = p.prim, s the ``prim`` of its ``radical`` and a = lc(s), the
+    rational roots of p are the Y/a for the integer roots Y of the monic
+    g(Y) = a^(e-1) s(Y/a), e = deg s. Each root u/v found is divided out
+    of f as the factor vX - u as often as f vanishes there.
     """
     if p.is_zero:
         raise ValueError("every rational is a root of the zero polynomial")
-    _, f = _int_clear(p)
-    k = 0
-    while f[k] == 0:
-        k += 1
-    f = f[k:]
+    k = p.support()[0]
+    f = list(p.prim[k:])
     roots: list[tuple[Fraction, int]] = [(Q(0), k)] if k else []
     if len(f) < 2:
         return roots
-    _, s = _int_clear(radical(Poly.of(*f)))
+    s = radical(_poly(f, primitive=True)).prim
     e, a = _ideg(s), s[-1]
     g = [c * a ** (e - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     for y in _integer_roots(g):

@@ -7,6 +7,7 @@ nowhere else).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -220,9 +221,22 @@ def _dense_product(p: Poly, q: Poly) -> tuple:
     return tuple(cs)
 
 
+def _assert_canonical(r: Poly) -> None:
+    # content times a primitive integer vector with a positive last entry
+    if r.prim:
+        assert math.gcd(*r.prim) == 1 and r.prim[-1] > 0, r
+    else:
+        assert r.content == 1, r
+    assert r.coeffs == tuple(r.content * c for c in r.prim), r
+
+
 def test_ring_ops_match_a_dense_reference():
-    # sums and products skip zero coefficients; the reference visits all
+    # sums and products skip zero coefficients; the reference visits all.
+    # Every result is canonical, and equal polynomials built by different
+    # routes are equal and hash equal, which the lru_cache on
+    # criteria.normalize relies on
     rng = random.Random(9)
+    zero = Poly(())
 
     def sparse() -> Poly:
         return Poly.from_support({
@@ -237,3 +251,14 @@ def test_ring_ops_match_a_dense_reference():
         assert (p - q).coeffs == _dense_sum(p, -q), (p, q)
         assert (p * q).coeffs == _dense_product(p, q), (p, q)
         assert (p * Q(3, 2)).coeffs == _dense_product(p, Poly.of(Q(3, 2)))
+        for r in (p, q, p + q, p - q, p * q, p * Q(-3, 2), -p, p.monic(),
+                  p.derivative(), p.taylor_shift(Q(-2, 3)),
+                  p.scale_input(Q(3, 4)), *divmod(p * q, X**13 + q)):
+            _assert_canonical(r)
+        for r in (p - p, 0 * p, Poly.of(0), Poly.from_support({3: 0})):
+            assert r == zero and hash(r) == hash(zero), r
+        for r in (Poly(p.coeffs), Poly.of(*p.coeffs),
+                  (p + q) - q, p * Q(3, 2) * Q(2, 3), -(-p),
+                  p.taylor_shift(1).taylor_shift(-1),
+                  Poly.from_support(dict(enumerate(p.coeffs)))):
+            assert r == p and hash(r) == hash(p), (r, p)

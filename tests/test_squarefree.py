@@ -30,7 +30,6 @@ from uniqpoly.polynomials import (
     GCD_PRIMES,
     Poly,
     X,
-    _int_clear,
     _squarefree_mod,
     radical,
     rational_roots,
@@ -115,7 +114,7 @@ def test_q_unlucky_inputs_go_through_yun(monkeypatch):
 
     monkeypatch.setattr(polynomials, "poly_gcd", counted)
     for p in _q_unlucky():
-        assert not _squarefree_mod(_int_clear(p)[1], GCD_PRIMES[0]), p
+        assert not _squarefree_mod(p.prim, GCD_PRIMES[0]), p
         calls.clear()
         assert squarefree_parts(p) == [(p.monic(), 1)], p
         assert calls, p  # Yun's algorithm ran
