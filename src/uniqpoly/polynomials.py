@@ -264,7 +264,7 @@ def _poly(ints: Sequence[int], content: Fraction = Q(1),
           primitive: bool = False) -> Poly:
     """content * ints as a Poly; unless the caller knows ints primitive
     with a positive last entry, its gcd and sign move into the content."""
-    _istrip(ints)  # a prim, tuple or not, ends in a nonzero entry
+    _istrip(ints)  # pops nothing from a tuple: those are prims
     if not ints or not content:
         ints, content = (), Q(1)
     elif not primitive:
