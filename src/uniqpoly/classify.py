@@ -608,22 +608,26 @@ def _constraint_gcd(p: Poly) -> Poly:
     q_{n-1} = 0, the difference P(beta X + gamma) - beta^n P(X) is
     sum_{j <= n-2} E_j (X - s)^j with E_j = q_j (beta^j - beta^n). Its
     X^j coefficients are a unitriangular, beta-free transform of the E_j,
-    so both sets have the same monic gcd. Every E_j vanishes at beta = 1,
-    the identity map, so the fold stops once the gcd is beta - 1. The q_j
-    come from P's coefficients here, not from ``taylor_shift``, so the
-    audit stays independent of the code it checks.
+    so both sets have the same monic gcd, the gcd of the beta^j - beta^n
+    whose q_j is not 0. Every E_j vanishes at beta = 1, the identity
+    map, so the fold stops once the gcd is beta - 1. The q_j come from
+    P's coefficients here, not from ``taylor_shift``, so the audit stays
+    independent of the code it checks. Only whether q_j vanishes
+    matters, so with c = ``p.prim`` and s = u/v in lowest terms the sum
+    read is the integer v^(n-j) q_j / content = sum_k c_k C(k, j)
+    u^(k-j) v^(n-k).
     """
     n = p.degree
     if n < 1:
         raise ValueError("search needs degree at least 1")
-    a = p.coeffs
-    s = -a[n - 1] / (n * a[n])
+    c = p.prim
+    t = math.gcd(c[n - 1], n * c[n])
+    u, v = -c[n - 1] // t, n * c[n] // t
     g = Poly.zero()
     for j in range(n - 1):
-        q = sum(a[k] * math.comb(k, j) * s ** (k - j)
-                for k in range(j, n + 1) if a[k])
-        if q:
-            g = poly_gcd(g, Poly.from_support({j: q, n: -q}))
+        if sum(c[k] * math.comb(k, j) * u ** (k - j) * v ** (n - k)
+               for k in range(j, n + 1) if c[k]):
+            g = poly_gcd(g, Poly.from_support({j: 1, n: -1}))
             if g.degree == 1:
                 return g
     return g
@@ -689,9 +693,11 @@ def witness_search(p: Poly, mode: str = "any_c", *,
     if roots:
         return finish(0, roots[0])
     for r in range(2, cap + 1):
-        phi = cyclotomic(r)
-        if phi.degree <= g.degree and (g % phi).is_zero:
-            return finish(r, None)
+        try:
+            g.exact_div(cyclotomic(r))
+        except ValueError:
+            continue
+        return finish(r, None)
     return None
 
 

@@ -51,7 +51,7 @@ from .curves import (
     verify_curve_identities,
 )
 from .orders import hyperbolicity_verdict, replay_verdict
-from .parser import parse_poly
+from .parser import DegreeCapError, parse_poly
 from .polynomials import Poly, rational_roots
 from . import report as rpt
 
@@ -333,12 +333,12 @@ def _run_corollary(args) -> tuple[int, dict]:
         table = corollary_classify(args.alpha, args.n, args.m, args.a, args.b)
     except ValueError as exc:
         raise UsageError(str(exc))
-    base = Poly.from_support({args.n: Fraction(1), args.m: args.a, 0: args.b})
+    # before (X - alpha)^n is built: its shift costs about n^3
+    if args.n > args.degree_cap:
+        raise UsageError(str(DegreeCapError(args.n, args.degree_cap)))
+    base = Poly.from_support({args.n: 1, args.m: args.a, 0: args.b})
     p = base.taylor_shift(-args.alpha)
-    try:
-        verdict = classify(p, degree_cap=args.degree_cap)
-    except ValueError as exc:  # the degree n is over the cap
-        raise UsageError(str(exc))
+    verdict = classify(p, degree_cap=args.degree_cap)
     got = tuple(verdict.slot(s) == "yes" for s in SLOTS)
     match = got == table.as_tuple()
     rep = rpt.base_report("corollary")

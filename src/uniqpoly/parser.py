@@ -19,14 +19,17 @@ most MAX_COEFF_BITS bits in its numerator and in its denominator,
 powers included.
 
 Values are kept as their nonzero terms, exponent -> coefficient, and
-become a Poly once, at the end. A power of a sum is computed by
-squaring with each step checked, so one that outgrows the bound fails
-within a few squarings. A power of one term c X^e is c^k X^(ek) in one
-step, and the check is the same: with m = max(|num c|, den c), the
-larger side of c^j is m^j, whose bit length never falls as j grows, and
-squaring forms c^j only for j <= k, so some step would fail exactly
-when c^k does. When k (bits(m) - 1) >= MAX_COEFF_BITS, m^k is too large
-and is not formed, so "2^100000" fails at once.
+become a Poly once, at the end. An integer literal stays an int, so a
+"p/q" literal is the only source of a Fraction, and integer input
+reaches Poly with no Fraction per coefficient. A power of a sum is
+computed by squaring with each step checked, so one that outgrows the
+bound fails within a few squarings. A power of one term c X^e is
+c^k X^(ek) in one step, and the check is the same: with
+m = max(|num c|, den c), the larger side of c^j is m^j, whose bit
+length never falls as j grows, and squaring forms c^j only for j <= k,
+so some step would fail exactly when c^k does. When
+k (bits(m) - 1) >= MAX_COEFF_BITS, m^k is too large and is not formed,
+so "2^100000" fails at once.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .polynomials import Poly
-
-Q = Fraction
 
 
 class ParseError(ValueError):
@@ -67,7 +68,7 @@ MAX_LITERAL_DIGITS = 1000
 MAX_COEFF_BITS = 4096
 
 
-def _bits(c: Fraction) -> int:
+def _bits(c: int | Fraction) -> int:
     return max(abs(c.numerator), c.denominator).bit_length()
 
 
@@ -106,8 +107,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-# a parsed value as its nonzero terms: exponent -> coefficient
-Terms = dict[int, Fraction]
+# a parsed value as its nonzero terms: exponent -> coefficient, an int
+# unless a p/q literal made it a Fraction
+Terms = dict[int, int | Fraction]
 
 
 def _mul(a: Terms, b: Terms) -> Terms:
@@ -140,7 +142,7 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {what}", offset, expected)
 
-    def check(self, c: Fraction, offset: int) -> None:
+    def check(self, c: int | Fraction, offset: int) -> None:
         if _bits(c) > MAX_COEFF_BITS:
             raise _too_large(offset)
 
@@ -211,7 +213,7 @@ class _Parser:
         # square and multiply with every step bounded, so a power whose
         # coefficients outgrow the bound stops within a few squarings
         # instead of being computed
-        out: Terms = {0: Q(1)}
+        out: Terms = {0: 1}
         while k:
             if k & 1:
                 out = self.bounded(_mul(out, base), offset)
@@ -234,11 +236,11 @@ class _Parser:
                 if int(dtext) == 0:
                     _, _, off = self.tokens[self.pos - 1]
                     raise ParseError("zero denominator", off)
-                return {0: Q(num, int(dtext))} if num else {}
-            return {0: Q(num)} if num else {}
+                return {0: Fraction(num, int(dtext))} if num else {}
+            return {0: num} if num else {}
         if kind == "var":
             self.take()
-            return {1: Q(1)}
+            return {1: 1}
         if kind == "(":
             _, _, offset = self.take()
             self.depth += 1

@@ -2,10 +2,14 @@
 
 A Poly is its content, a Fraction, times ``prim``, a primitive integer
 vector: ascending, constant term first, last entry positive, and () for
-zero, whose content is 1. Every routine over Z or F_q reads ``prim`` and
-``content`` directly; ``coeffs`` is the Fraction view, built on first
-read. Nothing here rounds. The Taylor shift P(X + u/v) is synthetic
-division by the integer u on v^n prim(X/v).
+zero, whose content is 1. ``Poly(coeffs)`` takes ints and Fractions
+only, reads their numerators and denominators, and builds one Fraction,
+the content. Every routine over Z or F_q reads ``prim`` and ``content``
+directly; ``coeffs`` is the Fraction view, built on first read. Nothing
+here rounds. The Taylor shift P(X + u/v) is synthetic division by the
+integer u on v^n prim(X/v). Division over Q is ``exact_div`` alone, on
+the primitive vectors over Z; it raises ValueError when the divisor
+does not divide, which by Gauss's lemma is the divisibility test over Q.
 
 The resultant uses a subresultant pseudo-remainder sequence on the
 primitive vectors, gcd uses a primitive PRS, interpolation uses
@@ -65,7 +69,9 @@ class Poly:
     # construction
 
     def __new__(cls, coeffs: Iterable = ()) -> "Poly":
-        cs = [Q(c) for c in coeffs]
+        cs = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("coefficients must be ints or Fractions")
         den = math.lcm(*(c.denominator for c in cs))
         return _poly([c.numerator * (den // c.denominator) for c in cs],
                      Q(1, den))
@@ -176,27 +182,6 @@ class Poly:
             base = base * base
             n >>= 1
         return out
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        other = _coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Fraction] = {}
-        rem, d, inv = list(self.coeffs), other.degree, 1 / other.lc
-        while len(rem) > d:
-            # the top term cancels exactly, so it is dropped, not computed
-            shift = len(rem) - 1 - d
-            lead = q[shift] = rem.pop() * inv
-            for i, c in enumerate(other.coeffs[:-1]):
-                rem[shift + i] -= lead * c
-            _istrip(rem)
-        return Poly.from_support(q), Poly(rem)
-
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, other)[1]
 
     def exact_div(self, other) -> "Poly":
         # by Gauss's lemma a primitive divisor over Q of a primitive

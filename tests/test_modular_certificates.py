@@ -127,6 +127,13 @@ def test_constraint_gcd_matches_sympy():
     # centers that are not integers, one input a pure power about its center
     inputs += [(X**6 + X**3 + 1).taylor_shift(Q(-7, 3)) * Q(5, 2),
                (X**9 + 2 * X**3).taylor_shift(Q(1, 2)), (X - Q(1, 3)) ** 5]
+    # sparse about centers with large coprime numerator and denominator:
+    # each vanishing q_j is an exact cancellation of big integers
+    inputs += [(X**12 + 5 * X**4 + 7).taylor_shift(Q(-1000003, 999983))
+               * Q(3, 7),
+               (X**10 - 3 * X**5).taylor_shift(Q(2**61 - 1, 3**20)),
+               (X**9 - X**6 + 2).taylor_shift(Q(10**12 + 39, 2**40 + 15)),
+               (Q(5, 11) * X**16 + X**8 - 4).taylor_shift(Q(-(3**25), 7**13))]
     for p in inputs:
         want = Poly(())
         eqs = _equations(p)

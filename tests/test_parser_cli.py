@@ -540,6 +540,13 @@ def test_corollary_honours_the_degree_cap(capsys):
     assert "degree 5 exceeds the cap 4" in err
     code, out, err = run_cli(capsys, "corollary", "0", "70", "3", "1", "1")
     assert code == 1 and "degree 70 exceeds the cap 64" in err
+    # shifting (X - 1)^n costs about n^3, so the cap is checked first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "corollary", "1", "1000000000", "2",
+                             "1", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "degree 1000000000 exceeds the cap 64" in err
 
 
 def test_witness_subcommand(capsys):

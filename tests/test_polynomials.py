@@ -79,13 +79,26 @@ def test_ring_basics():
     assert p.evaluate(Q(1, 2)) == Q(-7, 4)
 
 
-def test_divmod_roundtrip_pins():
+def test_exact_div_pins():
     p = X**4 - 4 * X
     q = X**3 - 1
-    quot, rem = divmod(p, q)
-    assert quot == X
-    assert rem == -3 * X
-    assert quot * q + rem == p
+    assert (p + 3 * X).exact_div(q) == X
+    assert (Q(2, 3) * p * q).exact_div(Q(4, 5) * q) == Q(5, 6) * p
+    assert Poly(()).exact_div(q) == Poly(())
+    for r in (p, q + 1, Poly.of(2), X**2):
+        with pytest.raises(ValueError):
+            r.exact_div(q)
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(Poly(()))
+
+
+def test_coefficients_are_ints_or_fractions():
+    assert Poly((1, Q(1, 2), True)) == Poly.of(1, Q(1, 2), 1)
+    for bad in ((1.5,), ("1",), (1, None)):
+        with pytest.raises(TypeError):
+            Poly(bad)
+    with pytest.raises(TypeError):
+        Poly.of("1")
 
 
 def test_derivative_and_shift():
@@ -188,19 +201,17 @@ def test_property_derivative_linearity():
         assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
 
 
-def test_property_divmod():
+def test_property_exact_div():
     rng = random.Random(8)
     for _ in range(200):
         p = random_poly(rng, 9)
         q = random_poly(rng, 5) * Q(rng.randint(1, 9), rng.randint(1, 9))
-        quot, rem = divmod(p, q)
-        assert quot * q + rem == p
-        assert rem.is_zero or rem.degree < q.degree
-        # exact_div divides the primitive integer forms instead
-        assert (p - rem).exact_div(q) == quot
-        if not rem.is_zero:
+        assert (p * q).exact_div(q) == p
+        if q.degree > 0:
+            # p q + r with r != 0 and deg r < deg q is not a multiple of q
+            r = random_poly(rng, q.degree - 1)
             with pytest.raises(ValueError):
-                p.exact_div(q)
+                (p * q + r).exact_div(q)
 
 
 def _dense_sum(p: Poly, q: Poly) -> tuple:
@@ -253,7 +264,8 @@ def test_ring_ops_match_a_dense_reference():
         assert (p * Q(3, 2)).coeffs == _dense_product(p, Poly.of(Q(3, 2)))
         for r in (p, q, p + q, p - q, p * q, p * Q(-3, 2), -p, p.monic(),
                   p.derivative(), p.taylor_shift(Q(-2, 3)),
-                  p.scale_input(Q(3, 4)), *divmod(p * q, X**13 + q)):
+                  p.scale_input(Q(3, 4)),
+                  (p * q * (X**13 + q)).exact_div(X**13 + q)):
             _assert_canonical(r)
         for r in (p - p, 0 * p, Poly.of(0), Poly.from_support({3: 0})):
             assert r == zero and hash(r) == hash(zero), r
