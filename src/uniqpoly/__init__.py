@@ -29,7 +29,6 @@ from .criteria import (
 from .curves import (
     Configuration,
     bezout_irreducibility,
-    example1_family,
     genus_ordinary,
     scaled_value_curve,
     shared_value_curve,
@@ -55,7 +54,6 @@ __all__ = [
     "corollary_shape",
     "critical_structure",
     "enumerate_configurations",
-    "example1_family",
     "exceptional_flags",
     "format_poly",
     "genus_ordinary",

@@ -54,6 +54,7 @@ from .curves import (
     genus_ordinary,
     singular_census,
 )
+from .parser import DegreeCapError
 from .polynomials import (
     Poly,
     cyclotomic,
@@ -341,7 +342,7 @@ def classify(p: Poly, degree_cap: int = 64) -> Verdict:
     if n < 2:
         raise ValueError("classification needs degree at least 2")
     if n > degree_cap:
-        raise ValueError(f"degree {n} exceeds the cap {degree_cap}")
+        raise DegreeCapError(n, degree_cap)
 
     idx = index_data(p)
     cs = critical_structure(p)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .curves import (
     verify_curve_identities,
 )
 from .orders import hyperbolicity_verdict, replay_verdict
-from .parser import DegreeCapError, parse_poly
+from .parser import MAX_COEFF_BITS, DegreeCapError, _bits, parse_poly
 from .polynomials import Poly, rational_roots
 from . import report as rpt
 
@@ -70,11 +71,29 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _rational(text: str) -> Fraction:
+    """A rational argument, held to the parser's coefficient bound.
+
+    ``Fraction`` expands a decimal exponent in full, so it is read first.
+    The mantissa has fewer than len(text) digits and decimal places, so
+    past |exponent| > MAX_COEFF_BITS + len(text) a nonzero value has a
+    numerator or a denominator above 10^MAX_COEFF_BITS: only the mantissa
+    is read then, and only zero passes.
+    """
     try:
-        return Fraction(text)
+        m = _EXPONENT.search(text)
+        huge = (m is not None
+                and abs(int(m.group(1))) > MAX_COEFF_BITS + len(text))
+        value = Fraction(text[:m.start()] + "e0") if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    if (huge and value) or _bits(value) > MAX_COEFF_BITS:
+        raise argparse.ArgumentTypeError(
+            f"rational exceeds {MAX_COEFF_BITS} bits")
+    return value
 
 
 @functools.cache

@@ -21,7 +21,6 @@ computes; genus and irreducibility bounds then follow by counting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -290,159 +289,3 @@ def _split_possible(d1: int, d2: int, census: Sequence[CensusPoint]) -> bool:
 
     return walk(0, 0, False)
 
-
-# concrete local probes at rational points
-
-def _local_expansion(curve: TriPoly, x0, y0) -> dict[tuple[int, int], Fraction]:
-    """Coefficients of u^a v^b in curve(x0 + u, y0 + v, 1)."""
-    x0, y0 = Q(x0), Q(y0)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j, _k), c in curve.terms.items():
-        for a in range(i + 1):
-            xa = math.comb(i, a) * x0 ** (i - a)
-            if xa == 0:
-                continue
-            for b in range(j + 1):
-                w = c * xa * math.comb(j, b) * y0 ** (j - b)
-                if w == 0:
-                    continue
-                out[(a, b)] = out.get((a, b), Q(0)) + w
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def local_multiplicity(curve: TriPoly, x0, y0) -> int:
-    """Multiplicity of the affine point (x0, y0); 0 means off the curve."""
-    exp = _local_expansion(curve, x0, y0)
-    if not exp:
-        raise ValueError("curve vanishes identically")
-    return min(a + b for a, b in exp)
-
-
-# Wronskian-quotient forms on a concrete curve
-
-WRONSKIAN_PAIRS = ("YZ", "XZ", "XY")
-
-
-def _homogeneous_degree(t: TriPoly) -> int:
-    degs = {i + j + k for (i, j, k) in t.terms}
-    if not degs:
-        raise ValueError("the zero polynomial has no degree")
-    if len(degs) != 1:
-        raise ValueError("not homogeneous")
-    return degs.pop()
-
-
-def _boundary_restriction(t: TriPoly, axis: str) -> Poly:
-    """t with z = 0 and the off-axis variable set to 1, univariately."""
-    acc: dict[int, Fraction] = {}
-    for (i, j, k), c in t.terms.items():
-        if k:
-            continue
-        e = i if axis == "x" else j
-        acc[e] = acc.get(e, Q(0)) + c
-    return Poly.from_support(acc)
-
-
-@dataclass(frozen=True)
-class WronskianForm:
-    """A 1-form numerator * W(pair) / denominator on a plane curve.
-
-    Scaling the homogeneous coordinates by t multiplies a Wronskian by
-    t^2, so the quotient is scale-invariant exactly when the denominator
-    degree exceeds the numerator degree by two; the constructor enforces
-    that. ``pole_free_at_infinity`` records whether the denominator
-    misses every point of the curve on z = 0, a sufficient (not
-    necessary) condition for regularity there.
-    """
-
-    numerator: TriPoly
-    denominator: TriPoly
-    pair: str
-    pole_free_at_infinity: bool
-
-
-def make_wronskian_form(
-    numerator: TriPoly, denominator: TriPoly, pair: str, curve: TriPoly
-) -> WronskianForm:
-    from .polynomials import poly_gcd
-
-    if pair not in WRONSKIAN_PAIRS:
-        raise ValueError(f"pair must be one of {WRONSKIAN_PAIRS}")
-    if numerator.is_zero or denominator.is_zero:
-        raise ValueError("numerator and denominator must be nonzero")
-    deg_n = _homogeneous_degree(numerator)
-    deg_d = _homogeneous_degree(denominator)
-    if deg_d != deg_n + 2:
-        raise ValueError(
-            f"weight bookkeeping off: denominator degree {deg_d} "
-            f"must be numerator degree {deg_n} plus 2"
-        )
-
-    def clear(axis: str) -> bool:
-        dr = _boundary_restriction(denominator, axis)
-        cr = _boundary_restriction(curve, axis)
-        if dr.is_zero or cr.is_zero:
-            return False
-        return poly_gcd(dr, cr).degree == 0
-
-    return WronskianForm(numerator, denominator, pair,
-                         clear("x") and clear("y"))
-
-
-# a family of witness curves with many independent regular forms
-
-@dataclass(frozen=True)
-class Example1Certificate:
-    m: int
-    n: int
-    curve: TriPoly
-    forms: tuple[WronskianForm, ...]
-    genus_lower_bound: int
-    slice_orders: dict
-    assumptions: tuple[str, ...]
-
-
-def example1_family(m: int, n: int) -> Example1Certificate:
-    """Regular forms on the curve x^n + y^m z^(n-m) + z^n = 0.
-
-    Every monomial q of degree m - 2 yields a regular form
-    q * W(X,Z) / (y^(m-1) z). The denominator vanishes on the curve only
-    at the n smooth points with y = 0 (where the Wronskian order m - 1
-    cancels the denominator exactly) and at the corner [0:1:0] (where,
-    with k = n - m and e = gcd(n, k), the branch orders give the form
-    order q + k/e - 1 >= 0). Distinct monomials stay independent on the
-    curve provided no component has degree m - 2 or lower; that is
-    recorded as an assumption, not proved.
-    """
-    if not (n > m >= 2 and n - m >= 2):
-        raise ValueError("family needs n > m >= 2 with n - m >= 2")
-    curve = tri({(n, 0, 0): 1, (0, m, n - m): 1, (0, 0, n): 1})
-    den = tri({(0, m - 1, 1): 1})
-    forms = []
-    for a in range(m - 1):
-        for b in range(m - 1 - a):
-            q = tri({(a, b, m - 2 - a - b): 1})
-            forms.append(make_wronskian_form(q, den, "XZ", curve))
-    k = n - m
-    e = math.gcd(n, k)
-    slice_orders = {
-        "unit-slice": {
-            "points": n, "ord_y": 1, "ord_branch": m,
-            "ord_wronskian": m - 1, "min_form_order": 0,
-        },
-        "corner-slice": {
-            "branches": e, "ord_z": n // e, "ord_x": k // e,
-            "ord_wronskian": (n + k) // e - 1,
-            "min_form_order": k // e - 1,
-        },
-    }
-    if n % 2:
-        # cheap concrete probe: for odd n the unit slice has the
-        # rational point [-1:0:1], which must be smooth
-        if local_multiplicity(curve, -1, 0) != 1:
-            raise RuntimeError("the point [-1:0:1] of the gap-family curve"
-                               " is not smooth")
-    return Example1Certificate(
-        m, n, curve, tuple(forms), m * (m - 1) // 2, slice_orders,
-        ("components-exceed-basis-degree",),
-    )

@@ -12,6 +12,7 @@ from uniqpoly.classify import (
     verify_witness,
     witness_search,
 )
+from uniqpoly.parser import DegreeCapError
 from uniqpoly.polynomials import Poly, X
 
 # the package re-exports the function classify under the module's name
@@ -30,7 +31,7 @@ def rules(v):
 def test_classify_guards():
     with pytest.raises(ValueError):
         classify(X + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeCapError, match="degree 9 exceeds the cap 8"):
         classify(X**9, degree_cap=8)
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
 
 from uniqpoly.curves import (
     CensusPoint,
@@ -13,7 +14,6 @@ from uniqpoly.curves import (
     IrreducibilityResult,
     bezout_irreducibility,
     genus_ordinary,
-    local_multiplicity,
     restrict_diagonal,
     scaled_value_curve,
     shared_value_curve,
@@ -26,6 +26,17 @@ from uniqpoly.trivariate import tri
 
 def _value_at(t, x, y, z):
     return sum(c * x**i * y**j * z**k for (i, j, k), c in t.terms.items())
+
+
+def local_multiplicity(t, x0, y0) -> int:
+    """Multiplicity of the affine point (x0, y0) on t(x, y, 1), read off
+    sympy: the lowest total degree in u, v of t(x0 + u, y0 + v, 1), and 0
+    off the curve."""
+    u, v = sympy.symbols("u v")
+    local = sympy.expand(_value_at(t, x0 + u, y0 + v, 1))
+    if local == 0:
+        raise ValueError("curve vanishes identically")
+    return min(sum(m) for m in sympy.Poly(local, u, v).monoms())
 
 
 def test_shared_curve_small():
@@ -171,89 +182,3 @@ def test_local_probe_mismatched_pair():
     p = p + 5  # lift so no critical value is zero; P(0) = 5, P(1) = 4
     G = scaled_value_curve(p, Q(5, 4))
     assert local_multiplicity(G, 0, 1) == 2  # min(2, 1) + 1
-
-
-def test_wronskian_form_weight_check():
-    from uniqpoly.curves import make_wronskian_form
-
-    F = shared_value_curve(X**3 - 3 * X)  # x^2 + xy + y^2 - 3z^2
-    z = tri({(0, 0, 1): 1})
-    num = z * F.partial("y")
-    with pytest.raises(ValueError):
-        make_wronskian_form(num, z * z * z, "YZ", F)  # degree gap 1, not 2
-    z4 = z * z * z * z
-    with pytest.raises(ValueError):
-        make_wronskian_form(num, z4, "WZ", F)
-    with pytest.raises(ValueError):
-        # mixed degrees in the numerator
-        make_wronskian_form(num + z, z4, "YZ", F)
-
-    w = make_wronskian_form(num, z4, "YZ", F)
-    assert not w.pole_free_at_infinity  # z^4 meets every boundary point
-
-    # denominator built from lines through affine roots stays off z = 0
-    x_, z_ = tri({(1, 0, 0): 1}), tri({(0, 0, 1): 1})
-    den = (x_ - z_) * (x_ - z_) * (x_ + z_) * (x_ + z_)
-    w2 = make_wronskian_form(num, den, "YZ", F)
-    assert w2.pole_free_at_infinity
-
-
-def test_example1_family_counts():
-    from uniqpoly.curves import example1_family
-
-    for bad in [(4, 4), (3, 4), (1, 5), (2, 3), (5, 3)]:
-        with pytest.raises(ValueError):
-            example1_family(*bad)
-
-    cert = example1_family(3, 5)
-    assert cert.genus_lower_bound == 3
-    assert len(cert.forms) == 3
-    assert len({repr(f.numerator) for f in cert.forms}) == 3
-    assert all(f.pair == "XZ" for f in cert.forms)
-    assert _value_at(cert.curve, -1, 0, 1) == 0
-    assert _value_at(cert.curve, 0, 1, 0) == 0
-    unit = cert.slice_orders["unit-slice"]
-    corner = cert.slice_orders["corner-slice"]
-    assert unit == {"points": 5, "ord_y": 1, "ord_branch": 3,
-                    "ord_wronskian": 2, "min_form_order": 0}
-    assert corner == {"branches": 1, "ord_z": 5, "ord_x": 2,
-                      "ord_wronskian": 6, "min_form_order": 1}
-
-    cert2 = example1_family(2, 4)
-    assert cert2.genus_lower_bound == 1
-    assert len(cert2.forms) == 1
-    assert cert2.slice_orders["corner-slice"] == {
-        "branches": 2, "ord_z": 2, "ord_x": 1,
-        "ord_wronskian": 2, "min_form_order": 0,
-    }
-
-
-def test_example1_family_smoothness_probe_is_an_error(monkeypatch):
-    from uniqpoly import curves
-
-    monkeypatch.setattr(curves, "local_multiplicity", lambda *args: 2)
-    with pytest.raises(RuntimeError, match="smooth"):
-        curves.example1_family(3, 5)
-    curves.example1_family(3, 6)  # even n has no probe
-
-
-def test_example1_family_order_identities():
-    from uniqpoly.curves import example1_family
-
-    for m in range(2, 6):
-        for k in range(2, 5):
-            n = m + k
-            cert = example1_family(m, n)
-            assert len(cert.forms) == m * (m - 1) // 2
-            unit = cert.slice_orders["unit-slice"]
-            corner = cert.slice_orders["corner-slice"]
-            # the branch exponent balance on each slice
-            assert unit["ord_branch"] == m
-            assert unit["ord_wronskian"] == unit["ord_branch"] - 1
-            assert unit["min_form_order"] == (
-                unit["ord_wronskian"] - (m - 1) * unit["ord_y"])
-            assert corner["ord_z"] * k == corner["ord_x"] * n
-            assert corner["ord_wronskian"] == corner["ord_z"] + corner["ord_x"] - 1
-            assert corner["min_form_order"] == (
-                corner["ord_wronskian"] - corner["ord_z"])
-            assert corner["min_form_order"] >= 0

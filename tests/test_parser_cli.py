@@ -272,6 +272,34 @@ def test_leading_minus_arguments_after_double_dash(capsys):
     assert code == 0 and json.loads(out)["scaled_curve"]["c"] == "-1/3"
 
 
+@pytest.mark.parametrize("argv", [
+    ("curve", "X^3+X", "--c", "1e1000000"),
+    ("corollary", "0", "5", "2", "1e1000000", "1"),
+    ("corollary", "1e100000", "5", "2", "1", "1"),
+    ("corollary", "1e1000000", "5", "2", "1", "1"),
+    ("corollary", "0", "5", "2", "1", "1e-1000000"),
+    ("corollary", "0", "5", "2", "1", "1/" + "9" * 1300),
+])
+def test_rational_arguments_over_the_bound_exit_one_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert f"rational exceeds {MAX_COEFF_BITS} bits" in err
+
+
+def test_rational_arguments_within_the_bound(capsys):
+    for text, shown in [("-1/3", "-1/3"), ("0.5", "1/2"), ("2", "2"),
+                        ("25e-1", "5/2")]:
+        code, out, _ = run_cli(capsys, "curve", f"--c={text}", "X^4+X+1")
+        assert code == 0 and json.loads(out)["scaled_curve"]["c"] == shown
+    # zero is within the bound whatever its exponent, and reads as zero
+    assert (run_cli(capsys, "curve", "--c=0e1000000", "X^4+X+1")
+            == run_cli(capsys, "curve", "--c=0", "X^4+X+1"))
+    code, out, _ = run_cli(capsys, "corollary", "1e3", "5", "2", "1", "1")
+    assert code == 0 and json.loads(out)["parameters"]["alpha"] == "1000"
+
+
 def test_audit_failure_exit_four(capsys, monkeypatch):
     # force the audit to disagree; the report must still be printed
     def broken_audit(p, verdict=None):

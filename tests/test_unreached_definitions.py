@@ -24,7 +24,7 @@ EXEMPT = {
     # argparse calls it on a usage error
     "_ArgumentParser.error",
     # wired into the audit next, to discharge ASSUME_SCALE_RIGID on the
-    # concrete polynomial (ROADMAP item 4)
+    # concrete polynomial (ROADMAP item 6)
     "diag_pencil_refinement",
 }
 
