@@ -26,62 +26,63 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .polynomials import Poly
-from .trivariate import TriPoly, homogenize_x, homogenize_y, tri
-
-Q = Fraction
+from .trivariate import TriPoly, _tri, homogenize_x, homogenize_y
 
 
-# constructors
+# constructors, on the primitive integer vector of P
 
 def shared_value_curve(p: Poly) -> TriPoly:
     """Homogenization of (P(x) - P(y)) / (x - y), degree n - 1.
 
     Uses x^k - y^k = (x - y) * sum_{j<k} x^(k-1-j) y^j termwise, so no
     division happens and the constant term of P drops out by itself.
+    Each exponent (k - 1 - j, j, n - k) names one k and one j.
     """
     n = p.degree
     if n < 2:
         raise ValueError("need degree at least 2")
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     for k in p.support():
-        if k == 0:
-            continue
-        a = p.coeff(k)
+        a = p.prim[k]
         for j in range(k):
-            e = (k - 1 - j, j, n - k)
-            terms[e] = terms.get(e, Q(0)) + a
-    return TriPoly(terms)
+            terms[(k - 1 - j, j, n - k)] = a
+    return _tri(terms, p.content)
 
 
 def scaled_value_curve(p: Poly, c: Fraction | int) -> TriPoly:
-    """Homogenization of P(x) - c P(y), degree n."""
-    c = Q(c)
+    """Homogenization of P(x) - c P(y), degree n: with c = u/v, content/v
+    times v prim(x) - u prim(y)."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficients must be ints or Fractions")
+    c = Fraction(c)
     if c == 0 or c == 1:
         raise ValueError("multiplier must avoid 0 and 1")
     n = p.degree
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    u, v = c.numerator, c.denominator
+    terms: dict[tuple[int, int, int], int] = {}
     for k in p.support():
-        a = p.coeff(k)
-        terms[(k, 0, n - k)] = terms.get((k, 0, n - k), Q(0)) + a
-        terms[(0, k, n - k)] = terms.get((0, k, n - k), Q(0)) - c * a
-    return TriPoly(terms)
+        a = p.prim[k]
+        terms[(k, 0, n - k)] = v * a
+        terms[(0, k, n - k)] = terms.get((0, k, n - k), 0) - u * a
+    return _tri(terms, p.content / v)
 
 
 def restrict_diagonal(t: TriPoly) -> Poly:
     """t(x, x, 1) as a univariate polynomial."""
-    acc: dict[int, Fraction] = {}
-    for (i, j, _k), c in t.terms.items():
-        acc[i + j] = acc.get(i + j, Q(0)) + c
-    return Poly.from_support(acc)
+    acc: dict[int, int] = {}
+    for (i, j, _k), c in t.prim.items():
+        acc[i + j] = acc.get(i + j, 0) + c
+    return Poly.from_support(acc) * t.content
 
 
 # exact identity battery
 
 def _dz_order(p: Poly, fz: TriPoly, low: int,
-              expected: Callable[[int, Fraction], TriPoly]) -> bool:
+              expected: Callable[[int, int], TriPoly]) -> bool:
     """With m0 the top support exponent of P in [low, n): fz vanishes to
     exact order n - m0 - 1 in z, and the z-free part of the quotient is
-    ``expected(m0, (n - m0) a_m0)``. With no such exponent, fz is zero."""
+    ``expected(m0, (n - m0) prim[m0])``, which puts back the content of
+    P. With no such exponent, fz is zero."""
     n = p.degree
     below = [k for k in p.support() if low <= k < n]
     if not below:
@@ -90,8 +91,8 @@ def _dz_order(p: Poly, fz: TriPoly, low: int,
     if fz.z_multiplicity() != n - m0 - 1:
         return False
     quot = fz.divide_z(n - m0 - 1)
-    return (TriPoly({e: cc for e, cc in quot.terms.items() if e[2] == 0})
-            == expected(m0, (n - m0) * p.coeff(m0)))
+    return (_tri({e: cc for e, cc in quot.prim.items() if e[2] == 0},
+                 quot.content) == expected(m0, (n - m0) * p.prim[m0]))
 
 
 def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
@@ -100,11 +101,11 @@ def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
     Returns a name -> bool map; all True for every valid input. Kept as a
     map rather than a bare bool so failures say which identity broke.
     """
-    c = Q(c)
     n = p.degree
     F = shared_value_curve(p)
-    G = scaled_value_curve(p, c)
-    x, y, z = tri({(1, 0, 0): 1}), tri({(0, 1, 0): 1}), tri({(0, 0, 1): 1})
+    G = scaled_value_curve(p, c)  # which rejects a c of any other type
+    c = Fraction(c)
+    x, y, z = (TriPoly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     dp = p.derivative()
     ph_x, ph_y = homogenize_x(p, n), homogenize_y(p, n)
     dph_x, dph_y = homogenize_x(dp, n - 1), homogenize_y(dp, n - 1)
@@ -128,10 +129,11 @@ def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
     # term never enters)
     checks["shared_dz_order"] = _dz_order(
         p, F.partial("z"), 1,
-        lambda m0, a: tri({(m0 - 1 - j, j, 0): a for j in range(m0)}))
+        lambda m0, a: _tri({(m0 - 1 - j, j, 0): a for j in range(m0)}, p.content))
     checks["scaled_dz_order"] = _dz_order(
         p, G.partial("z"), 0,
-        lambda m0, a: tri({(m0, 0, 0): a}) + tri({(0, m0, 0): -a * c}))
+        lambda m0, a: (_tri({(m0, 0, 0): a}, p.content)
+                       - _tri({(0, m0, 0): a}, p.content * c)))
 
     return checks
 

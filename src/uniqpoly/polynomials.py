@@ -129,20 +129,17 @@ class Poly:
             return self
         if not self.prim:
             return other
-        # over num/den, the gcd of the contents, add the nonzero terms of
-        # the shorter vector into a copy of the longer
-        a, b = self.content, other.content
-        num = math.gcd(a.numerator, b.numerator)
-        den = math.lcm(a.denominator, b.denominator)
-        x, ka = self.prim, a.numerator // num * (den // a.denominator)
-        y, kb = other.prim, b.numerator // num * (den // b.denominator)
+        # over the gcd of the contents, add the nonzero terms of the
+        # shorter vector into a copy of the longer
+        g, ka, kb = _common_content(self.content, other.content)
+        x, y = self.prim, other.prim
         if len(x) < len(y):
             x, ka, y, kb = y, kb, x, ka
         cs = [ka * c for c in x]
         for i, c in enumerate(y):
             if c:
                 cs[i] += kb * c
-        return _poly(cs, Q(num, den))
+        return _poly(cs, g)
 
     __radd__ = __add__
 
@@ -260,6 +257,15 @@ def _poly(ints: Sequence[int], content: Fraction = Q(1),
     object.__setattr__(p, "content", content)
     object.__setattr__(p, "prim", tuple(ints))
     return p
+
+
+def _common_content(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
+    """(g, a/g, b/g), g the gcd of the numerators over the lcm of the
+    denominators, so a/g and b/g are coprime integers."""
+    num = math.gcd(a.numerator, b.numerator)
+    den = math.lcm(a.denominator, b.denominator)
+    return (Q(num, den), a.numerator // num * (den // a.denominator),
+            b.numerator // num * (den // b.denominator))
 
 
 def _coerce(v) -> Poly:

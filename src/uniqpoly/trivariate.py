@@ -1,132 +1,154 @@
-"""Homogeneous trivariate polynomials over Q.
+"""Homogeneous trivariate polynomials over Q: the projective curves cut
+out by value sharing.
 
-Sparse representation: ``terms[(i, j, k)]`` is the coefficient of
-X^i Y^j Z^k, with i + j + k equal across all terms. These carry the
-projective curves cut out by value sharing; only exact operations are
-provided (arithmetic, partials, division by powers of Z).
+A TriPoly is stored as a Poly is: a Fraction ``content`` times ``prim``,
+a primitive integer dict from (i, j, k) to the coefficient of X^i Y^j Z^k,
+free of zeros, homogeneous of degree ``degree`` and positive at its
+largest key (the zero form is 1 times {}, of degree None), so ``==`` is
+exact. Ring operations, partials and division by powers of Z run on the
+integers; by Gauss's lemma a product of primitive forms is primitive.
+``terms`` is the Fraction view, built on first read, as ``Poly.coeffs`` is.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomials import Poly
-
-Q = Fraction
+from .polynomials import Poly, _common_content
 
 Exp = tuple[int, int, int]
 
 
 class TriPoly:
-    """Homogeneous polynomial in X, Y, Z with Fraction coefficients."""
+    """Homogeneous polynomial in X, Y, Z over Q. ``TriPoly(terms)`` takes
+    a map from exponents to ints or Fractions."""
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("content", "prim", "degree", "_terms")
 
-    def __init__(self, terms: Mapping[Exp, Fraction | int]):
+    def __new__(cls, terms: Mapping[Exp, Fraction | int]) -> "TriPoly":
         # a Mapping holds each exponent once, so nothing is summed here
-        clean: dict[Exp, Fraction] = {}
-        deg = None
-        for e, c in terms.items():
-            if type(c) is not Fraction:
-                c = Q(c)
-            if not c:
-                continue
-            i, j, k = e
-            if i < 0 or j < 0 or k < 0:
-                raise ValueError("negative exponent")
-            d = i + j + k
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ValueError("terms of unequal total degree")
-            clean[e] = c
-        self.terms = clean
-        self.degree = deg
+        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            raise TypeError("coefficients must be ints or Fractions")
+        clean = {e: c for e, c in terms.items() if c}
+        if any(min(e) < 0 for e in clean):
+            raise ValueError("negative exponent")
+        if len({sum(e) for e in clean}) > 1:
+            raise ValueError("terms of unequal total degree")
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        return _tri({e: c.numerator * (den // c.denominator)
+                     for e, c in clean.items()}, Fraction(1, den))
+
+    @property
+    def terms(self) -> dict[Exp, Fraction]:
+        """Coefficients as Fractions, keyed by exponent."""
+        if self._terms is None:
+            self._terms = {e: self.content * x for e, x in self.prim.items()}
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.prim
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TriPoly) and self.terms == other.terms
+        return (isinstance(other, TriPoly) and self.content == other.content
+                and self.prim == other.prim)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.prim)
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
-        if self.is_zero:
+        if not self.prim:
             return other
-        if other.is_zero:
+        if not other.prim:
             return self
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
-        return TriPoly(out)
+        g, ka, kb = _common_content(self.content, other.content)
+        out = {e: ka * c for e, c in self.prim.items()}
+        for e, c in other.prim.items():
+            out[e] = out.get(e, 0) + kb * c
+        return _tri(out, g)
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly({e: -c for e, c in self.terms.items()})
+        return _tri(self.prim, -self.content, primitive=True)
 
     def __sub__(self, other: "TriPoly") -> "TriPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "TriPoly":
         if isinstance(other, (int, Fraction)):
-            return TriPoly({e: c * other for e, c in self.terms.items()})
-        out: dict[Exp, Fraction] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
+            return _tri(self.prim, self.content * other, primitive=True)
+        if not isinstance(other, TriPoly):
+            return NotImplemented
+        out: dict[Exp, int] = {}
+        for (i1, j1, k1), c1 in self.prim.items():
+            for (i2, j2, k2), c2 in other.prim.items():
                 e = (i1 + i2, j1 + j2, k1 + k2)
-                out[e] = out.get(e, Q(0)) + c1 * c2
-        return TriPoly(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return _tri({e: c for e, c in out.items() if c},
+                    self.content * other.content, primitive=True)
 
     __rmul__ = __mul__
 
     def partial(self, var: str) -> "TriPoly":
         axis = "xyz".index(var.lower())
-        out: dict[Exp, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[axis] == 0:
-                continue
-            ne = list(e)
-            ne[axis] -= 1
-            out[tuple(ne)] = c * e[axis]
-        return TriPoly(out)
+        di, dj, dk = (int(a == axis) for a in range(3))
+        out = {(e[0] - di, e[1] - dj, e[2] - dk): c * e[axis]
+               for e, c in self.prim.items() if e[axis]}
+        return _tri(out, self.content)
 
     def z_multiplicity(self) -> int:
         """Largest k with Z^k dividing self (0 for the zero form)."""
-        if self.is_zero:
-            return 0
-        return min(e[2] for e in self.terms)
+        return min((e[2] for e in self.prim), default=0)
 
     def divide_z(self, k: int) -> "TriPoly":
-        if any(e[2] < k for e in self.terms):
+        if any(e[2] < k for e in self.prim):
             raise ValueError(f"not divisible by Z^{k}")
-        return TriPoly({(i, j, kk - k): c for (i, j, kk), c in self.terms.items()})
+        # a shift of the Z exponent keeps the order of the keys
+        return _tri({(i, j, kk - k): c for (i, j, kk), c in self.prim.items()},
+                    self.content, primitive=True)
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "TriPoly(0)"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            bits.append(f"{self.terms[e]}*X^{e[0]}Y^{e[1]}Z^{e[2]}")
-        return "TriPoly(" + " + ".join(bits) + ")"
+        return "TriPoly(" + (" + ".join(
+            f"{c}*X^{i}Y^{j}Z^{k}"
+            for (i, j, k), c in sorted(self.terms.items(), reverse=True))
+            or "0") + ")"
 
 
-def tri(terms: Mapping[Exp, Fraction | int]) -> TriPoly:
-    return TriPoly(terms)
+def _tri(ints: Mapping[Exp, int], content: Fraction,
+         primitive: bool = False) -> TriPoly:
+    """content * ints as a TriPoly; unless the caller knows ints
+    primitive, free of zeros and positive at the largest key, its zeros
+    go and its gcd and sign move into the content."""
+    if not primitive:
+        ints = {e: c for e, c in ints.items() if c}
+    if not ints or not content:
+        ints, content = {}, Fraction(1)
+    elif not primitive:
+        g = math.gcd(*ints.values())
+        if ints[max(ints)] < 0:
+            g = -g
+        if g != 1:
+            ints, content = {e: c // g for e, c in ints.items()}, content * g
+    t = object.__new__(TriPoly)
+    t.content, t.prim, t._terms = content, ints, None
+    t.degree = sum(next(iter(ints))) if ints else None
+    return t
 
 
 def homogenize_x(p: Poly, degree: int) -> TriPoly:
     """p(X) spread to a degree-d form in X and Z."""
     if p.degree > degree:
         raise ValueError("degree too small to homogenize into")
-    return TriPoly({(e, 0, degree - e): c for e, c in zip(range(len(p.coeffs)), p.coeffs)})
+    # the top power of X is the largest key, and p.prim ends positive
+    return _tri({(e, 0, degree - e): c for e, c in enumerate(p.prim) if c},
+                p.content, primitive=True)
 
 
 def homogenize_y(p: Poly, degree: int) -> TriPoly:
     if p.degree > degree:
         raise ValueError("degree too small to homogenize into")
-    return TriPoly({(0, e, degree - e): c for e, c in zip(range(len(p.coeffs)), p.coeffs)})
+    return _tri({(0, e, degree - e): c for e, c in enumerate(p.prim) if c},
+                p.content, primitive=True)

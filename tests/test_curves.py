@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 import sympy
 
+from uniqpoly import cli, curves
 from uniqpoly.curves import (
     CensusPoint,
     Configuration,
@@ -21,7 +23,7 @@ from uniqpoly.curves import (
     verify_curve_identities,
 )
 from uniqpoly.polynomials import Poly, X
-from uniqpoly.trivariate import tri
+from uniqpoly.trivariate import TriPoly
 
 
 def _value_at(t, x, y, z):
@@ -41,16 +43,16 @@ def local_multiplicity(t, x0, y0) -> int:
 
 def test_shared_curve_small():
     # (x^2 - y^2)/(x - y) = x + y
-    assert shared_value_curve(X**2) == tri({(1, 0, 0): 1, (0, 1, 0): 1})
+    assert shared_value_curve(X**2) == TriPoly({(1, 0, 0): 1, (0, 1, 0): 1})
     # constant term drops out
     assert shared_value_curve(X**2 + 7) == shared_value_curve(X**2)
     F = shared_value_curve(X**3 - 3 * X)
-    assert F == tri({(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): -3})
+    assert F == TriPoly({(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1, (0, 0, 2): -3})
 
 
 def test_scaled_curve_small():
     G = scaled_value_curve(X**2, 2)
-    assert G == tri({(2, 0, 0): 1, (0, 2, 0): -2})
+    assert G == TriPoly({(2, 0, 0): 1, (0, 2, 0): -2})
     with pytest.raises(ValueError):
         scaled_value_curve(X**2, 1)
     with pytest.raises(ValueError):
@@ -182,3 +184,81 @@ def test_local_probe_mismatched_pair():
     p = p + 5  # lift so no critical value is zero; P(0) = 5, P(1) = 4
     G = scaled_value_curve(p, Q(5, 4))
     assert local_multiplicity(G, 0, 1) == 2  # min(2, 1) + 1
+
+
+def test_multiplier_must_be_an_int_or_a_fraction():
+    with pytest.raises(TypeError, match="coefficients must be ints or Fractions"):
+        scaled_value_curve(X**2 + X, 0.1)
+    with pytest.raises(TypeError, match="coefficients must be ints or Fractions"):
+        verify_curve_identities(X**3 + X, "3")
+    # the exact tenth it stands for is accepted
+    assert scaled_value_curve(X**2 + X, Q(1, 10)).terms[(0, 2, 0)] == Q(-1, 10)
+
+
+def _extra_monomial(t: TriPoly, e) -> TriPoly:
+    assert e not in t.terms
+    return t + TriPoly({e: 1})
+
+
+# p = X^4 - 4X, whose shared curve is X^3 + X^2 Y + X Y^2 + Y^3 - 4 Z^3;
+# each change of a constructor, and the identities it must break
+BREAKS = {
+    "shared + X^2 Z": ("shared", lambda t: _extra_monomial(t, (2, 0, 1)),
+                       {"shared_defining", "shared_dx", "shared_dy",
+                        "shared_diagonal", "shared_dz_order"}),
+    "shared * 2": ("shared", lambda t: t * 2,
+                   {"shared_defining", "shared_dx", "shared_dy",
+                    "shared_diagonal", "shared_dz_order"}),
+    # X^3 Y has no Z, so the z-partial and its order stay as they were
+    "scaled + X^3 Y": ("scaled", lambda t: _extra_monomial(t, (3, 1, 0)),
+                       {"scaled_dx", "scaled_dy", "scaled_diagonal"}),
+    "scaled * 2": ("scaled", lambda t: t * 2,
+                   {"scaled_dx", "scaled_dy", "scaled_diagonal",
+                    "scaled_dz_order"}),
+}
+
+
+@pytest.mark.parametrize("change", sorted(BREAKS))
+def test_identity_battery_catches_a_wrong_curve(change, monkeypatch, capsys):
+    # a form off by one monomial, or by its content alone (which a
+    # content-blind == would miss), must fail the identities it touches;
+    # the Euler relations hold for any form of the right degree
+    kind, alter, broken = BREAKS[change]
+    name = f"{kind}_value_curve"
+    true = getattr(curves, name)
+    monkeypatch.setattr(curves, name, lambda *a: alter(true(*a)))
+    p = X**4 - 4 * X
+    checks = verify_curve_identities(p, 2)
+    assert {k for k, ok in checks.items() if not ok} == broken
+    assert cli.main(["curve", "--c=2", "--", "X^4-4*X"]) == cli.EXIT_INTERNAL
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["identities_pass"] is False
+
+
+def _sympy_form(expr, gens, degree: int) -> dict:
+    """The sympy polynomial expr in x, y homogenized to the given degree,
+    as a map from (i, j, k) to a Fraction."""
+    return {(i, j, degree - i - j): Q(int(c.p), int(c.q))
+            for (i, j), c in sympy.Poly(expr, *gens).terms()}
+
+
+def test_curves_match_sympy():
+    # the constructors against arithmetic the package does not share
+    x, y = sympy.symbols("x y")
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        cs = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        cs.append(Q(rng.choice([1, -1, 2, -3]), rng.randint(1, 5)))
+        p = Poly(cs)
+        c = Q(0)
+        while c in (0, 1):
+            c = Q(rng.randint(-9, 9), rng.randint(1, 6))
+        px = sum(sympy.Rational(a.numerator, a.denominator) * x**k
+                 for k, a in enumerate(cs))
+        py = px.subs(x, y)
+        cr = sympy.Rational(c.numerator, c.denominator)
+        shared = sympy.cancel((px - py) / (x - y))
+        assert shared_value_curve(p).terms == _sympy_form(shared, (x, y), n - 1), p
+        scaled = sympy.expand(px - cr * py)
+        assert scaled_value_curve(p, c).terms == _sympy_form(scaled, (x, y), n), (p, c)
