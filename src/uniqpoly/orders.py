@@ -201,102 +201,40 @@ class OrderExpr:
 
 
 _ZERO = OrderExpr(exact=True)
-_LOWER0 = OrderExpr()
-
-
-@dataclass(frozen=True)
-class PointModel:
-    """Order table of one point class on the curve.
-
-    kind "crossing": both coordinates critical; carries the unknown g
-    (and slack e for the shared curve).  kind "x-fiber"/"y-fiber": one
-    coordinate critical, the transversal branch through it; all orders
-    are explicit integers.  kind "infinity": the smooth points over
-    Z = 0, where every coordinate line and both Wronskians have order
-    exactly zero.
-    """
-
-    label: str
-    kind: str
-    index: int | None
-    curve_kind: str
-    m_i: int = 0
-    m_partner: int = 0
-    partner: int | None = None
-    x_scale: int = 0  # ord(x_i) = x_scale * g at a crossing
-    y_scale: int = 0  # ord(y_partner) = y_scale * g
-
-    def order_of(self, atom: Atom, w: str | None = None) -> OrderExpr:
-        if atom == ("w",):  # internal: the Wronskian W(w)
-            return self._wronskian_order(w)
-        tag = atom[0]
-        if self.kind == "infinity":
-            # each point over Z=0 is a transversal intersection with
-            # nonzero X and Y coordinates, so x/y atoms are units there;
-            # connector lines and coordinates only ever help
-            return _ZERO if tag in ("x", "y") else _LOWER0
-        if self.kind == "x-fiber":
-            if tag == "x":
-                return OrderExpr(const=1, exact=True) if atom[1] == self.index else _ZERO
-            if tag == "y":
-                # the second coordinate of a fiber point is never critical:
-                # equal critical values would break separation
-                return _ZERO
-            return _LOWER0 if tag in ("link", "coord") else _ZERO
-        if self.kind == "y-fiber":
-            if tag == "y":
-                return OrderExpr(const=1, exact=True) if atom[1] == self.index else _ZERO
-            if tag == "x":
-                return _ZERO
-            return _LOWER0 if tag in ("link", "coord") else _ZERO
-        # crossing
-        if tag == "x":
-            if atom[1] == self.index:
-                return OrderExpr(g_coef=self.x_scale, exact=True)
-            return _ZERO
-        if tag == "y":
-            target = self.index if self.curve_kind == "shared" else self.partner
-            if atom[1] == target:
-                return OrderExpr(g_coef=self.y_scale, exact=True)
-            return _ZERO
-        if tag == "diag":
-            # contact with X-Y is at least the common coordinate contact
-            return OrderExpr(g_coef=1, e_coef=1, exact=True)
-        if tag == "link":
-            if self.index in atom[1:]:
-                lo = min(self.x_scale, self.y_scale)
-                # the line through this crossing is a combination of the
-                # two coordinate lines, so its order is at least the
-                # smaller contact; when the y-contact dominates it is
-                # exactly the x-contact
-                return OrderExpr(g_coef=lo, exact=self.m_partner <= self.m_i)
-            return _LOWER0
-        if tag == "coord":
-            return _LOWER0
-        raise ValueError(f"atom {atom!r} not representable at {self.label}")
-
-    def _wronskian_order(self, w: str) -> OrderExpr:
-        # in the finite chart Z=1, W(Y,Z) pulls back to -dY, so its order
-        # is exactly (contact order of Y with its limit value) - 1
-        if self.kind == "infinity":
-            return _ZERO
-        if self.kind == "x-fiber":
-            # transversal branch: x is a parameter, dy/dx vanishes to
-            # order m_i because the derivative of P does
-            return OrderExpr(const=self.m_i if w == "YZ" else 0, exact=True)
-        if self.kind == "y-fiber":
-            return OrderExpr(const=self.m_i if w == "XZ" else 0, exact=True)
-        scale = self.y_scale if w == "YZ" else self.x_scale
-        return OrderExpr(g_coef=scale, const=-1, exact=True)
 
 
 @dataclass(frozen=True)
 class OrderLedger:
-    points: tuple[PointModel, ...]
+    """Order table of every point class where a ledger form could have a pole.
+
+    labels[p] names point p.  wronskian[w][p] is the order of W(w) at p.
+    atoms maps each x, y and diagonal atom to the (p, order) pairs where
+    its order is not zero, and connectors maps each crossing's index i to
+    the (p, order) of a connector line through crossing i.  Anywhere
+    else an atom counts 0: exactly for x and y atoms, and as a lower
+    bound, sound in a numerator, for the other atoms.
+    """
+
+    labels: tuple[str, ...]
+    wronskian: dict[str, tuple[OrderExpr, ...]]
+    atoms: dict[Atom, tuple[tuple[int, OrderExpr], ...]]
+    connectors: dict[int, tuple[int, OrderExpr]]
+
+    def touches(self, atom: Atom) -> tuple[tuple[int, OrderExpr], ...]:
+        if atom[0] == "link":
+            return tuple(self.connectors[i] for i in atom[1:])
+        return self.atoms.get(atom, ())
 
 
 def build_ledger(config: Configuration) -> OrderLedger:
-    """Model every point class where a ledger form could have a pole.
+    """Tabulate, once, the orders at every point class where a ledger
+    form could have a pole.
+
+    Crossings carry the unknown contact g (and the diagonal slack e on
+    the shared curve).  Fibers, on their transversal branch, and the
+    smooth points over Z = 0, where X and Y are nonzero so every x/y atom
+    is a unit, carry explicit integers.  In the chart Z = 1, W(Y,Z) pulls
+    back to -dY, so its order is the contact order of Y, minus one.
 
     Needs at least two critical points: with a single one, every point
     of the fiber over it is a crossing and the fiber models below would
@@ -306,35 +244,57 @@ def build_ledger(config: Configuration) -> OrderLedger:
     l = len(m)
     if l < 2:
         raise ValueError("order ledger needs at least two critical points")
-    pts: list[PointModel] = []
+    labels: list[str] = []
+    yz: list[OrderExpr] = []
+    xz: list[OrderExpr] = []
+    atoms: dict[Atom, list[tuple[int, OrderExpr]]] = {}
+    connectors: dict[int, tuple[int, OrderExpr]] = {}
+
+    def point(label, w_yz, w_xz, *orders):
+        p = len(labels)
+        labels.append(label)
+        yz.append(w_yz)
+        xz.append(w_xz)
+        for atom, o in orders:
+            atoms.setdefault(atom, []).append((p, o))
+        return p
+
     if config.kind == "shared":
+        # both coordinate lines meet the branch with one common contact
+        # order; the diagonal picks up at least that much
+        g = OrderExpr(g_coef=1, exact=True)
+        w = OrderExpr(g_coef=1, const=-1, exact=True)
+        diag = OrderExpr(g_coef=1, e_coef=1, exact=True)
         for i in range(l):
-            # both coordinate lines meet the branch with one common
-            # contact order; the diagonal picks up at least that much
-            pts.append(PointModel(
-                label=f"crossing:{i}", kind="crossing", index=i,
-                curve_kind="shared", m_i=m[i], m_partner=m[i],
-                x_scale=1, y_scale=1,
-            ))
+            point(f"crossing:{i}", w, w, (atom_x(i), g), (atom_y(i), g), (DIAG, diag))
     else:
         for i, j in config.pairing:
             # near the crossing, (X-a_i)^(m_i+1)*unit equals
             # c*(Y-a_j)^(m_j+1)*unit on the curve, locking the two
             # contact orders into the ratio (m_j+1) : (m_i+1)
             d = gcd(m[i] + 1, m[j] + 1)
-            pts.append(PointModel(
-                label=f"crossing:{i}", kind="crossing", index=i,
-                curve_kind="scaled", m_i=m[i], m_partner=m[j], partner=j,
-                x_scale=(m[j] + 1) // d, y_scale=(m[i] + 1) // d,
-            ))
+            x_scale, y_scale = (m[j] + 1) // d, (m[i] + 1) // d
+            p = point(f"crossing:{i}",
+                      OrderExpr(g_coef=y_scale, const=-1, exact=True),
+                      OrderExpr(g_coef=x_scale, const=-1, exact=True),
+                      (atom_x(i), OrderExpr(g_coef=x_scale, exact=True)),
+                      (atom_y(j), OrderExpr(g_coef=y_scale, exact=True)))
+            # a line through the crossing combines the two coordinate
+            # lines, so its order is at least the smaller contact, and
+            # exactly the x-contact when the y-contact dominates
+            connectors[i] = (p, OrderExpr(g_coef=min(x_scale, y_scale),
+                                          exact=m[j] <= m[i]))
+    one = OrderExpr(const=1, exact=True)
     for i in range(l):
-        pts.append(PointModel(label=f"x-fiber:{i}", kind="x-fiber", index=i,
-                              curve_kind=config.kind, m_i=m[i]))
-        pts.append(PointModel(label=f"y-fiber:{i}", kind="y-fiber", index=i,
-                              curve_kind=config.kind, m_i=m[i]))
-    pts.append(PointModel(label="infinity", kind="infinity", index=None,
-                          curve_kind=config.kind))
-    return OrderLedger(tuple(pts))
+        # transversal branch: dy/dx vanishes to order m_i, as P' does;
+        # the other coordinate of a fiber point is never critical, since
+        # equal critical values would break separation
+        deep = OrderExpr(const=m[i], exact=True)
+        point(f"x-fiber:{i}", deep, _ZERO, (atom_x(i), one))
+        point(f"y-fiber:{i}", _ZERO, deep, (atom_y(i), one))
+    point("infinity", _ZERO, _ZERO)
+    return OrderLedger(tuple(labels), {"YZ": tuple(yz), "XZ": tuple(xz)},
+                       {a: tuple(t) for a, t in atoms.items()}, connectors)
 
 
 @dataclass(frozen=True)
@@ -383,22 +343,21 @@ def check_form(config: Configuration, ledger: OrderLedger, spec: FormSpec,
             raise ValueError("the diagonal atom lives on the shared curve")
         if a[0] in ("x", "y") and not 0 <= a[1] < len(config.mults):
             raise ValueError(f"atom index out of range: {a!r}")
-    chain = []
-    all_ok = True
-    for pt in ledger.points:
-        expr = pt.order_of(("w",), spec.wronskian)
-        for a, k in spec.num:
-            expr = expr.plus(pt.order_of(a), k)
-        for a, k in spec.den:
-            o = pt.order_of(a)
+    # each entry starts at the Wronskian's order and moves only where an
+    # atom of the form does not count 0, so the work is linear in the form
+    exprs = list(ledger.wronskian[spec.wronskian])
+    for a, k in spec.num:
+        for p, o in ledger.touches(a):
+            exprs[p] = exprs[p].plus(o, k)
+    for a, k in spec.den:
+        for p, o in ledger.touches(a):
             if not o.exact:
-                raise ValueError(f"denominator atom {a!r} not exact at {pt.label}")
-            expr = expr.plus(OrderExpr(-o.g_coef, -o.e_coef, -o.const, True), k)
-        ok = expr.provably_nonnegative()
-        all_ok = all_ok and ok
-        chain.append(ChainEntry(pt.label, expr, ok))
-    return FormVerdict(spec, "yes" if all_ok else "unknown", tuple(chain),
-                       independence_class)
+                raise ValueError(f"denominator atom {a!r} not exact at {ledger.labels[p]}")
+            exprs[p] = exprs[p].plus(o, -k)
+    chain = tuple(ChainEntry(label, e, e.provably_nonnegative())
+                  for label, e in zip(ledger.labels, exprs))
+    return FormVerdict(spec, "yes" if all(c.ok for c in chain) else "unknown",
+                       chain, independence_class)
 
 
 def replay_chain(verdict: FormVerdict, rng: random.Random,

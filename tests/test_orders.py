@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from uniqpoly import cli
 from uniqpoly.curves import Configuration
 from uniqpoly.orders import (
     ASSUME_NO_CONIC,
@@ -13,6 +14,7 @@ from uniqpoly.orders import (
     ASSUME_SCALE_RIGID,
     ASSUME_SEPARATED,
     FormSpec,
+    OrderExpr,
     RouteError,
     _scaled_alg_routes,
     _scaled_brody_routes,
@@ -37,9 +39,10 @@ DIAG = ("diag",)
 VERDICT_RANK = {"none": 0, "algebraic": 1, "brody": 2}
 
 
-def crossing(ledger, i):
-    """The ledger's crossing point over critical point i."""
-    return next(p for p in ledger.points if p.kind == "crossing" and p.index == i)
+def order_at(ledger, atom, label):
+    """The ledger's order of atom at the point named label (0 if untouched)."""
+    p = ledger.labels.index(label)
+    return dict(ledger.touches(atom)).get(p, OrderExpr(exact=True))
 
 
 # ---------------------------------------------------------------------------
@@ -51,47 +54,47 @@ def test_scaled_crossing_locks_contact_ratio():
     # ord(x) = t, ord(y) = 2t
     cfg = Configuration("scaled", (3, 1), ((0, 1),))
     led = build_ledger(cfg)
-    c = crossing(led, 0)
-    assert c.x_scale == 1 and c.y_scale == 2
-    ox = c.order_of(atom_x(0))
-    oy = c.order_of(atom_y(1))
+    ox = order_at(led, atom_x(0), "crossing:0")
+    oy = order_at(led, atom_y(1), "crossing:0")
     assert (ox.g_coef, ox.exact) == (1, True)
     assert (oy.g_coef, oy.exact) == (2, True)
     # the Wronskian W(Y,Z) drops one from the y-contact
-    ow = c.order_of(("w",), "YZ")
+    ow = led.wronskian["YZ"][led.labels.index("crossing:0")]
     assert (ow.g_coef, ow.const, ow.exact) == (2, -1, True)
+    # a connector through the crossing has the smaller contact, exactly,
+    # since the partner's multiplicity is the smaller one
+    assert led.connectors[0] == (led.labels.index("crossing:0"),
+                                 OrderExpr(g_coef=1, exact=True))
 
 
 def test_scaled_crossing_equal_multiplicities():
-    cfg = Configuration("scaled", (2, 2), ((0, 1),))
-    c = crossing(build_ledger(cfg), 0)
-    assert c.x_scale == 1 and c.y_scale == 1
+    led = build_ledger(Configuration("scaled", (2, 2), ((0, 1),)))
+    assert order_at(led, atom_x(0), "crossing:0").g_coef == 1
+    assert order_at(led, atom_y(1), "crossing:0").g_coef == 1
 
 
 def test_scaled_crossing_coprime_contact_orders():
     # multiplicities 3 and 2: 4*ord(x) = 3*ord(y) with gcd(4,3)=1 forces
     # ord(x) divisible by 3
-    cfg = Configuration("scaled", (3, 2), ((0, 1),))
-    c = crossing(build_ledger(cfg), 0)
-    assert c.x_scale == 3 and c.y_scale == 4
+    led = build_ledger(Configuration("scaled", (3, 2), ((0, 1),)))
+    assert order_at(led, atom_x(0), "crossing:0").g_coef == 3
+    assert order_at(led, atom_y(1), "crossing:0").g_coef == 4
 
 
 def test_shared_crossing_and_fibers():
     cfg = Configuration("shared", (2, 2))
     led = build_ledger(cfg)
-    c = crossing(led, 1)
-    assert c.order_of(atom_x(1)).g_coef == 1
-    assert c.order_of(atom_y(1)).g_coef == 1
-    od = c.order_of(DIAG)
+    assert order_at(led, atom_x(1), "crossing:1").g_coef == 1
+    assert order_at(led, atom_y(1), "crossing:1").g_coef == 1
+    od = order_at(led, DIAG, "crossing:1")
     assert (od.g_coef, od.e_coef) == (1, 1)
     # off-index atoms are units at the crossing
-    assert c.order_of(atom_x(0)) .g_coef == 0
-    fibers = [p for p in led.points if p.kind == "x-fiber"]
-    assert len(fibers) == 2
-    f = fibers[0]
-    assert f.order_of(atom_x(0)).const == 1
-    assert f.order_of(("w",), "YZ").const == 2  # multiplicity of the branch
-    assert f.order_of(("w",), "XZ").const == 0
+    assert order_at(led, atom_x(0), "crossing:1").g_coef == 0
+    assert [lb for lb in led.labels if lb.startswith("x-fiber")] == ["x-fiber:0", "x-fiber:1"]
+    assert order_at(led, atom_x(0), "x-fiber:0").const == 1
+    f = led.labels.index("x-fiber:0")
+    assert led.wronskian["YZ"][f].const == 2  # multiplicity of the branch
+    assert led.wronskian["XZ"][f].const == 0
 
 
 def test_ledger_needs_two_critical_points():
@@ -460,16 +463,38 @@ def test_every_dispatch_route_is_reached():
     assert slugs - reached == set()
 
 
-def test_certificates_are_pinned_through_degree_ten():
-    # sha256 over every serialized certificate for n <= 10, in enumeration
-    # order; a refactor of the dispatch must not move a single byte
+def test_certificates_are_pinned_through_degree_twelve():
+    # sha256 over every serialized certificate for n <= 10 and n <= 12, in
+    # enumeration order; a refactor of the dispatch must not move a byte
     h = hashlib.sha256()
-    cfgs = enumerate_configurations(10)
-    for cfg in cfgs:
+    cfgs = enumerate_configurations(12)
+    for k, cfg in enumerate(cfgs):
+        if k == 1858:  # the configurations with n <= 10 come first
+            assert cfg.n == 11
+            assert h.hexdigest() == (
+                "a03c618482d0e35aa7e21d3acb2098c375ffbf6859be4a64aed9be07d95c6783")
         h.update(json.dumps(jsonable(hyperbolicity_verdict(cfg).as_dict())).encode())
-    assert len(cfgs) == 1858
+    assert len(cfgs) == 7393
     assert h.hexdigest() == (
-        "a03c618482d0e35aa7e21d3acb2098c375ffbf6859be4a64aed9be07d95c6783")
+        "e94865968d8467f206585f36be763f2f82c8ffd1f439bb88673f7644f226fdf9")
+
+
+def test_forms_check_is_linear_in_the_critical_points(monkeypatch, capsys):
+    # each atom adds its order only at the points it touches: the three
+    # shared forms on l simple points take about 9l additions, not 9l^2
+    calls = 0
+    plus = OrderExpr.plus
+
+    def counted(self, other, times=1):
+        nonlocal calls
+        calls += 1
+        return plus(self, other, times)
+
+    monkeypatch.setattr(OrderExpr, "plus", counted)
+    l = 400
+    assert cli.main(["forms", "shared", ",".join(["1"] * l)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["verdict"] == "brody"
+    assert calls < 10 * l
 
 
 # ---------------------------------------------------------------------------
