@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .criteria import (
     affine_symmetry,
@@ -54,7 +54,7 @@ from .curves import (
     genus_ordinary,
     singular_census,
 )
-from .parser import DegreeCapError
+from .parser import DEFAULT_DEGREE_CAP, DegreeCapError
 from .polynomials import (
     Poly,
     cyclotomic,
@@ -256,16 +256,14 @@ class _Builder:
     def note(self, rule: str, inputs: dict, conclusion: str) -> None:
         self.trace.append(RuleStep(rule, inputs, conclusion))
 
-    def decided(self, slot: str) -> bool:
-        return slot in self.values
-
     def set(self, slot: str, value: str, rule: str, inputs: dict,
-            witness: Optional[Witness] = None) -> None:
+            make_witness: Optional[Callable[[], Witness]] = None) -> None:
+        # the witness is built only when it is recorded: a new "no"
         prev = self.values.get(slot)
         if prev is None:
             self.values[slot] = value
-            if witness is not None and value == "no":
-                self.witnesses[slot] = witness
+            if make_witness is not None and value == "no":
+                self.witnesses[slot] = make_witness()
             self.note(rule, inputs, f"{slot}: {value}")
         elif prev == value:
             self.note(rule, inputs, f"{slot}: {value} (corroborates)")
@@ -331,7 +329,7 @@ class _Builder:
         )
 
 
-def classify(p: Poly, degree_cap: int = 64) -> Verdict:
+def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
     """Decide the four uniqueness verdicts for p.
 
     Raises ValueError below degree 2 or above the degree cap; a slot no
@@ -368,7 +366,7 @@ def classify(p: Poly, degree_cap: int = 64) -> Verdict:
             raise RuntimeError("rotation witness failed to replay")
         inputs = {"order": r1, "center": str(idx.center)}
         for slot in SLOTS:
-            b.set(slot, "no", "support-rotation-identity", inputs, w)
+            b.set(slot, "no", "support-rotation-identity", inputs, lambda: w)
 
     # rule 2: rotations that only rescale the value kill strong uniqueness
     r2 = idx.projective_symmetry_order
@@ -378,9 +376,10 @@ def classify(p: Poly, degree_cap: int = 64) -> Verdict:
             raise RuntimeError("multiplier witness failed to replay")
         inputs = {"order": r2, "c_exponent": idx.low_exp % r2,
                   "center": str(idx.center)}
-        b.set("sup_rational", "no", "support-rotation-multiplier", inputs, w)
+        b.set("sup_rational", "no", "support-rotation-multiplier", inputs,
+              lambda: w)
         b.set("sup_meromorphic", "no", "support-rotation-multiplier",
-              inputs, w)
+              inputs, lambda: w)
 
     # rule 3: with a wide gap below the top exponent, the rotation scan
     # is complete, so coprime support settles the strong verdicts
@@ -454,35 +453,30 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
         b.set("up_rational", "yes", "separated-profile-uniqueness-rational",
               {"l": l, "min_mult": mn})
     else:
-        w = None
-        if not b.decided("up_rational"):
-            config = Configuration("shared", profile)
-            w = _genus_exception("genus-zero-shared-curve", config, no_linear)
         b.set("up_rational", "no", "separated-profile-uniqueness-rational",
-              {"l": l, "min_mult": mn}, w)
+              {"l": l, "min_mult": mn},
+              lambda: _genus_exception("genus-zero-shared-curve",
+                                       Configuration("shared", profile),
+                                       no_linear))
 
     # strong uniqueness for rational functions adds rigidity and the
     # value-orbit exception on the smooth quartic profile
     if cond_rational:
         if not rigid:
-            w = None
-            if not b.decided("sup_rational"):
-                w = _rigidity_witness(p, sym)
             b.set("sup_rational", "no", "separated-profile-strong-rational",
-                  {"rigid": False}, w)
+                  {"rigid": False}, lambda: _rigidity_witness(p, sym))
         elif flags.quartic_w_case:
-            w = None
-            if not b.decided("sup_rational"):
+            def orbit_witness() -> Witness:
                 config = Configuration("scaled", (1, 1, 1),
                                        ((0, 1), (1, 2), (2, 0)))
                 w = _genus_exception("genus-zero-orbit-scaled-curve", config,
                                      "rotation scan is complete and empty")
-                w = replace(w, certificates={
+                return replace(w, certificates={
                     **w.certificates,
                     "value_polynomial": str(cs.separation_poly),
                 })
             b.set("sup_rational", "no", "separated-profile-strong-rational",
-                  {"value_orbit": True}, w)
+                  {"value_orbit": True}, orbit_witness)
         else:
             b.set("sup_rational", "yes", "separated-profile-strong-rational",
                   {"rigid": True, "value_orbit": False})
@@ -503,23 +497,19 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
                   "separated-profile-strong-meromorphic",
                   {"rigid": True, "rigidity_restated_in_strong_clause": True})
     elif quartic_exc:
-        w = None
-        if not b.decided("up_meromorphic"):
-            w = _genus_exception("genus-one-smooth-shared-curve",
-                                 Configuration("shared", (1, 1, 1)),
-                                 no_linear)
         b.set("up_meromorphic", "no",
               "separated-profile-uniqueness-meromorphic",
-              {"exception": "smooth quartic profile"}, w)
+              {"exception": "smooth quartic profile"},
+              lambda: _genus_exception("genus-one-smooth-shared-curve",
+                                       Configuration("shared", (1, 1, 1)),
+                                       no_linear))
     elif quintic_exc:
-        w = None
-        if not b.decided("up_meromorphic"):
-            w = _genus_exception("genus-one-two-node-shared-curve",
-                                 Configuration("shared", (2, 2)),
-                                 no_linear)
         b.set("up_meromorphic", "no",
               "separated-profile-uniqueness-meromorphic",
-              {"exception": "double-pair quintic profile"}, w)
+              {"exception": "double-pair quintic profile"},
+              lambda: _genus_exception("genus-one-two-node-shared-curve",
+                                       Configuration("shared", (2, 2)),
+                                       no_linear))
     # the remaining case, l == 2 with min 1, propagates from up_rational
 
 

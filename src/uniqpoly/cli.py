@@ -52,7 +52,8 @@ from .curves import (
     verify_curve_identities,
 )
 from .orders import hyperbolicity_verdict, replay_verdict
-from .parser import MAX_COEFF_BITS, DegreeCapError, _bits, parse_poly
+from .parser import (DEFAULT_DEGREE_CAP, MAX_COEFF_BITS, DegreeCapError,
+                     _bits, parse_poly)
 from .polynomials import Poly, rational_roots
 from . import report as rpt
 
@@ -114,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="indented text output")
 
     def degree_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--degree-cap", type=int, default=64, metavar="K",
-                       help="reject inputs of degree above K (default 64)")
+        p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+                       metavar="K", help="reject inputs of degree above K"
+                                         " (default %(default)s)")
 
     def seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, metavar="N",
@@ -324,6 +326,9 @@ def _run_forms(args) -> tuple[int, dict]:
             if edge
         )
         config = Configuration(args.kind, mults, pairing)
+        # the report grows with P's degree n = 1 + sum(mults)
+        if config.n > DEFAULT_DEGREE_CAP:
+            raise DegreeCapError(config.n, DEFAULT_DEGREE_CAP)
     except ValueError as exc:
         raise UsageError(str(exc))
     hv = hyperbolicity_verdict(config)

@@ -163,21 +163,18 @@ class OrderExpr:
 
     g is the branch contact order at a crossing (an unknown integer >= 1)
     and e is the extra diagonal contact slack (>= 0, shared crossings
-    only).  `exact` records whether the entry is an equality; entries
-    without it are lower bounds, which is sound for numerator atoms.
+    only).  OrderLedger says which of its entries are exact.
     """
 
     g_coef: int = 0
     e_coef: int = 0
     const: int = 0
-    exact: bool = False
 
     def plus(self, other: "OrderExpr", times: int = 1) -> "OrderExpr":
         return OrderExpr(
             self.g_coef + times * other.g_coef,
             self.e_coef + times * other.e_coef,
             self.const + times * other.const,
-            self.exact and other.exact,
         )
 
     def value(self, g: int = 1, e: int = 0) -> int:
@@ -200,9 +197,6 @@ class OrderExpr:
         return s
 
 
-_ZERO = OrderExpr(exact=True)
-
-
 @dataclass(frozen=True)
 class OrderLedger:
     """Order table of every point class where a ledger form could have a pole.
@@ -210,9 +204,12 @@ class OrderLedger:
     labels[p] names point p.  wronskian[w][p] is the order of W(w) at p.
     atoms maps each x, y and diagonal atom to the (p, order) pairs where
     its order is not zero, and connectors maps each crossing's index i to
-    the (p, order) of a connector line through crossing i.  Anywhere
-    else an atom counts 0: exactly for x and y atoms, and as a lower
-    bound, sound in a numerator, for the other atoms.
+    the (p, order) of a connector line through crossing i.  Every x and
+    y order is exact, and so is its 0 anywhere else; the diagonal and
+    connector orders, and their 0 elsewhere, are lower bounds.  FormSpec
+    admits only x and y atoms in a denominator, so a bound never enters
+    a chain entry with a minus sign, and each entry is a lower bound on
+    the form's order.
     """
 
     labels: tuple[str, ...]
@@ -262,9 +259,9 @@ def build_ledger(config: Configuration) -> OrderLedger:
     if config.kind == "shared":
         # both coordinate lines meet the branch with one common contact
         # order; the diagonal picks up at least that much
-        g = OrderExpr(g_coef=1, exact=True)
-        w = OrderExpr(g_coef=1, const=-1, exact=True)
-        diag = OrderExpr(g_coef=1, e_coef=1, exact=True)
+        g = OrderExpr(g_coef=1)
+        w = OrderExpr(g_coef=1, const=-1)
+        diag = OrderExpr(g_coef=1, e_coef=1)
         for i in range(l):
             point(f"crossing:{i}", w, w, (atom_x(i), g), (atom_y(i), g), (DIAG, diag))
     else:
@@ -275,24 +272,22 @@ def build_ledger(config: Configuration) -> OrderLedger:
             d = gcd(m[i] + 1, m[j] + 1)
             x_scale, y_scale = (m[j] + 1) // d, (m[i] + 1) // d
             p = point(f"crossing:{i}",
-                      OrderExpr(g_coef=y_scale, const=-1, exact=True),
-                      OrderExpr(g_coef=x_scale, const=-1, exact=True),
-                      (atom_x(i), OrderExpr(g_coef=x_scale, exact=True)),
-                      (atom_y(j), OrderExpr(g_coef=y_scale, exact=True)))
+                      OrderExpr(g_coef=y_scale, const=-1),
+                      OrderExpr(g_coef=x_scale, const=-1),
+                      (atom_x(i), OrderExpr(g_coef=x_scale)),
+                      (atom_y(j), OrderExpr(g_coef=y_scale)))
             # a line through the crossing combines the two coordinate
-            # lines, so its order is at least the smaller contact, and
-            # exactly the x-contact when the y-contact dominates
-            connectors[i] = (p, OrderExpr(g_coef=min(x_scale, y_scale),
-                                          exact=m[j] <= m[i]))
-    one = OrderExpr(const=1, exact=True)
+            # lines, so its order is at least the smaller contact
+            connectors[i] = (p, OrderExpr(g_coef=min(x_scale, y_scale)))
+    zero, one = OrderExpr(), OrderExpr(const=1)
     for i in range(l):
         # transversal branch: dy/dx vanishes to order m_i, as P' does;
         # the other coordinate of a fiber point is never critical, since
         # equal critical values would break separation
-        deep = OrderExpr(const=m[i], exact=True)
-        point(f"x-fiber:{i}", deep, _ZERO, (atom_x(i), one))
-        point(f"y-fiber:{i}", _ZERO, deep, (atom_y(i), one))
-    point("infinity", _ZERO, _ZERO)
+        deep = OrderExpr(const=m[i])
+        point(f"x-fiber:{i}", deep, zero, (atom_x(i), one))
+        point(f"y-fiber:{i}", zero, deep, (atom_y(i), one))
+    point("infinity", zero, zero)
     return OrderLedger(tuple(labels), {"YZ": tuple(yz), "XZ": tuple(xz)},
                        {a: tuple(t) for a, t in atoms.items()}, connectors)
 
@@ -351,8 +346,6 @@ def check_form(config: Configuration, ledger: OrderLedger, spec: FormSpec,
             exprs[p] = exprs[p].plus(o, k)
     for a, k in spec.den:
         for p, o in ledger.touches(a):
-            if not o.exact:
-                raise ValueError(f"denominator atom {a!r} not exact at {ledger.labels[p]}")
             exprs[p] = exprs[p].plus(o, -k)
     chain = tuple(ChainEntry(label, e, e.provably_nonnegative())
                   for label, e in zip(ledger.labels, exprs))
@@ -495,10 +488,20 @@ def _shared_verdict(config: Configuration) -> HyperbolicityVerdict:
         w1 = check_form(config, ledger, omega(i1), "pencil-basis-1")
         if w1.regular != "yes":
             raise RouteError(f"diagonal fallback pair failed on {config}")
-        # a combination a*(X-Y) + b*x_i1 can be a genuine sloped line;
-        # it divides the curve only if P is invariant under rescaling
-        # about the deep critical point, which diag_pencil_refinement
-        # rules out for a concrete polynomial
+        # A line s*(X-Y) + t*x_i1 of this pencil passes through the deep
+        # crossing (a, a).  The curve restricts to P' on the diagonal and
+        # to (P(a) - P(Y))/(a - Y) on X = a, so neither divides it, nor
+        # does Y = a.  Any other line is Y - a = lam*(X - a), lam != 0, 1,
+        # and lies on the curve iff lam^k = 1 for every k in the support
+        # of Q = P(a + X) - P(a), which needs a support gcd above 1.  The
+        # route serves (m, 1, 1), m >= 2, where Q' = c*X^m*(X-b1)*(X-b2)
+        # with b1 != b2 both nonzero, and (m, 2), m >= 3, where b2 = b1.
+        # Either way m+1 and m+3 are in the support, and so is m+2 unless
+        # b1 + b2 = 0.  So the gcd exceeds 1 only if b2 = -b1 and m is
+        # odd; then Q is even and P(a + b1) = P(a + b2), against
+        # separation.  So ASSUME_SCALE_RIGID follows from ASSUME_SEPARATED;
+        # it and needs_coefficient_check stay on the certificate until a
+        # round that allows report changes.
         ind = IndependenceCertificate(
             "linear-span", (_atom_str(DIAG), _atom_str(atom_x(i1))),
             (ASSUME_SEPARATED, ASSUME_SCALE_RIGID))
@@ -856,41 +859,6 @@ def hyperbolicity_verdict(config: Configuration) -> HyperbolicityVerdict:
 def replay_verdict(hv: HyperbolicityVerdict, rng: random.Random | None = None) -> bool:
     rng = rng or random.Random(0)
     return all(replay_chain(v, rng) for v in hv.forms)
-
-
-# ---------------------------------------------------------------------------
-# coefficient-level refinement for the shared fallback pencil
-# ---------------------------------------------------------------------------
-
-def diag_pencil_refinement(p, deep_root) -> dict:
-    """Rule out a rescaling symmetry about the deep critical point.
-
-    The fallback independence certificate assumes no line through the
-    deep crossing divides the shared curve.  Such a line would force
-    P(deep + X) = P(deep + uX) for some u != 1, i.e. the recentered
-    polynomial would be supported on exponents with a common divisor
-    that admits a root of unity other than 1.  For the two profiles that
-    use this pencil the recentered support is {m+1, m+2, m+3} minus
-    possibly the middle, whose gcd is 1 unless the middle coefficient
-    vanishes and m is odd; and that last shape P(0) + b*X^(m+1) + X^(m+3)
-    has critical points +r and -r sharing a value, so it was already
-    rejected by the separation check.
-    """
-    q = p.taylor_shift(deep_root)
-    support = [k for k, c in enumerate(q.coeffs) if k >= 1 and c != 0]
-    g = 0
-    for k in support:
-        g = gcd(g, k)
-    rigid = g == 1
-    trace = {
-        "centered_support": support,
-        "support_gcd": g,
-        "scale_rigid": rigid,
-    }
-    if not rigid:
-        trace["note"] = ("support gcd exceeds 1: an even symmetry survives, "
-                         "which contradicts separated critical values")
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ class ParseError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
+DEFAULT_DEGREE_CAP = 64
+
+
 class DegreeCapError(ValueError):
     def __init__(self, degree: int, cap: int):
         self.degree = degree

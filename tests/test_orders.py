@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from uniqpoly import cli
+from uniqpoly.criteria import critical_structure
 from uniqpoly.curves import Configuration
 from uniqpoly.orders import (
     ASSUME_NO_CONIC,
@@ -23,7 +25,6 @@ from uniqpoly.orders import (
     atom_y,
     build_ledger,
     check_form,
-    diag_pencil_refinement,
     enumerate_configurations,
     form,
     hyperbolicity_verdict,
@@ -42,7 +43,7 @@ VERDICT_RANK = {"none": 0, "algebraic": 1, "brody": 2}
 def order_at(ledger, atom, label):
     """The ledger's order of atom at the point named label (0 if untouched)."""
     p = ledger.labels.index(label)
-    return dict(ledger.touches(atom)).get(p, OrderExpr(exact=True))
+    return dict(ledger.touches(atom)).get(p, OrderExpr())
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +57,14 @@ def test_scaled_crossing_locks_contact_ratio():
     led = build_ledger(cfg)
     ox = order_at(led, atom_x(0), "crossing:0")
     oy = order_at(led, atom_y(1), "crossing:0")
-    assert (ox.g_coef, ox.exact) == (1, True)
-    assert (oy.g_coef, oy.exact) == (2, True)
+    assert (ox.g_coef, ox.const) == (1, 0)
+    assert (oy.g_coef, oy.const) == (2, 0)
     # the Wronskian W(Y,Z) drops one from the y-contact
     ow = led.wronskian["YZ"][led.labels.index("crossing:0")]
-    assert (ow.g_coef, ow.const, ow.exact) == (2, -1, True)
-    # a connector through the crossing has the smaller contact, exactly,
-    # since the partner's multiplicity is the smaller one
+    assert (ow.g_coef, ow.const) == (2, -1)
+    # a connector through the crossing has at least the smaller contact
     assert led.connectors[0] == (led.labels.index("crossing:0"),
-                                 OrderExpr(g_coef=1, exact=True))
+                                 OrderExpr(g_coef=1))
 
 
 def test_scaled_crossing_equal_multiplicities():
@@ -479,7 +479,7 @@ def test_certificates_are_pinned_through_degree_twelve():
         "e94865968d8467f206585f36be763f2f82c8ffd1f439bb88673f7644f226fdf9")
 
 
-def test_forms_check_is_linear_in_the_critical_points(monkeypatch, capsys):
+def test_forms_check_is_linear_in_the_critical_points(monkeypatch):
     # each atom adds its order only at the points it touches: the three
     # shared forms on l simple points take about 9l additions, not 9l^2
     calls = 0
@@ -492,31 +492,56 @@ def test_forms_check_is_linear_in_the_critical_points(monkeypatch, capsys):
 
     monkeypatch.setattr(OrderExpr, "plus", counted)
     l = 400
-    assert cli.main(["forms", "shared", ",".join(["1"] * l)]) == 0
-    assert json.loads(capsys.readouterr().out)["certificate"]["verdict"] == "brody"
+    assert hyperbolicity_verdict(Configuration("shared", (1,) * l)).verdict == "brody"
     assert calls < 10 * l
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level refinement
+# the balanced-plus-split route: ASSUME_SCALE_RIGID follows from separation
 # ---------------------------------------------------------------------------
 
-def test_diag_pencil_refinement_generic_is_rigid():
-    # recentered support {3, 4, 5}: no common divisor, no symmetry
-    p = X**5 + X**4 + X**3 + 7
-    trace = diag_pencil_refinement(p, 0)
-    assert trace["scale_rigid"]
-    assert trace["support_gcd"] == 1
-    # shifting the center is handled by the recentering step
-    q = p.taylor_shift(-2)  # deep root moved to 2
-    assert diag_pencil_refinement(q, 2)["centered_support"] == [3, 4, 5]
+def _split_route_profile(mults):
+    ms = sorted(mults, reverse=True)
+    return ((len(ms) == 3 and ms[0] >= 2 and ms[1:] == [1, 1])
+            or (len(ms) == 2 and ms[0] >= 3 and ms[1] == 2))
 
 
-def test_diag_pencil_refinement_flags_even_symmetry():
-    # support {2, 4}: invariant under X -> -X, hence not rigid; such a
-    # polynomial also fails separation (critical points +r, -r share a
-    # value), so the flag never fires on accepted inputs
-    p = X**4 - 2 * X**2
-    trace = diag_pencil_refinement(p, 0)
-    assert not trace["scale_rigid"]
-    assert trace["support_gcd"] == 2
+def test_balanced_plus_split_serves_only_its_two_profile_families():
+    # the proof at the route covers (m, 1, 1), m >= 2, and (m, 2), m >= 3
+    served = 0
+    for cfg in enumerate_configurations(15, kinds=("shared",)):
+        on_route = hyperbolicity_verdict(cfg).route == "balanced-plus-split"
+        assert on_route == _split_route_profile(cfg.mults), cfg
+        served += on_route
+    assert served == 11 + 10  # (2..12, 1, 1) and (3..12, 2)
+
+
+def _integral(dp: Poly) -> Poly:
+    """The antiderivative of dp with constant term 1."""
+    return Poly.from_support({0: 1, **{k + 1: c / (k + 1)
+                                       for k, c in enumerate(dp.coeffs)}})
+
+
+def test_scale_rigidity_holds_on_every_separated_realisation():
+    # with the deep critical point at 0, a line Y = lam*X (lam != 0, 1)
+    # lies on the shared curve iff lam^k = 1 on the support of P - P(0);
+    # so a support gcd above 1 must come with colliding critical values
+    grid = sorted({Fraction(a, b) for a in range(-3, 4) if a for b in (1, 2)})
+    cases = non_rigid = 0
+    for m in range(2, 8):
+        derivs = [((m, 1, 1), b1 + b2 == 0 and m % 2 == 1,
+                   X**m * (X - b1) * (X - b2))
+                  for k, b1 in enumerate(grid) for b2 in grid[k + 1:]]
+        if m >= 3:
+            derivs += [((m, 2), False, X**m * (X - b)**2) for b in grid]
+        for profile, odd_pair, dp in derivs:
+            p = _integral(dp)
+            cs = critical_structure(p)
+            assert tuple(sorted(cs.profile, reverse=True)) == profile
+            g = gcd(*p.support())  # exponent 0, from P(0) = 1, adds nothing
+            assert (g > 1) == odd_pair, (profile, dp)
+            assert g == 1 or not cs.is_separated, (profile, dp)
+            cases += 1
+            non_rigid += g > 1
+    assert non_rigid == 3 * 5  # m = 3, 5, 7 with b2 = -b1
+    assert cases == 6 * 45 + 5 * 10

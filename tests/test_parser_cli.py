@@ -544,6 +544,18 @@ def test_forms_rejects_bad_pairing(capsys):
     assert code == 1 and "pair" in err
 
 
+def test_forms_is_held_to_the_default_degree_cap(capsys):
+    # n = 1 + sum of the multiplicities is P's degree
+    code, out, _ = run_cli(capsys, "forms", "shared", ",".join(["1"] * 63))
+    assert code == 0
+    assert json.loads(out)["configuration"]["curve_degree"] == 63
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "forms", "shared", ",".join(["1"] * 64))
+    assert time.perf_counter() - start < 0.05
+    assert (code, out) == (1, "")
+    assert err == "uniqpoly: degree 65 exceeds the cap 64\n"
+
+
 def test_corollary_subcommand(capsys):
     code, out, _ = run_cli(capsys, "corollary", "0", "5", "2", "1", "1")
     rep = json.loads(out)

@@ -23,9 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "uniqpoly"
 EXEMPT = {
     # argparse calls it on a usage error
     "_ArgumentParser.error",
-    # wired into the audit next, to discharge ASSUME_SCALE_RIGID on the
-    # concrete polynomial (ROADMAP item 6)
-    "diag_pencil_refinement",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -82,16 +79,26 @@ def test_the_check_finds_unreached_definitions():
          "    def hit(self):\n        return USED\n"
          "    def miss(self):\n        return 0\n"
          "def lonely():\n    return K().hit()\n"
-         "def exported():\n    pass\n"
-         "def diag_pencil_refinement():\n    pass\n"
+         "def exported():\n    return _ArgumentParser()\n"
+         "class _ArgumentParser:\n    def error(self):\n        pass\n"
          "__all__ = ['exported']\n")
     b = "from .a import lonely\n"  # an import alone reaches nothing
     assert unreached_definitions({"a.py": a, "b.py": b}) == [
         "a.py:1: RANK", "a.py:9: K.miss", "a.py:11: lonely"]
 
 
-def test_every_definition_has_a_caller_in_the_package():
+def _package_sources() -> dict[str, str]:
     files = sorted(SRC.glob("*.py"))
     assert files
-    sources = {path.name: path.read_text("utf-8") for path in files}
-    assert unreached_definitions(sources) == []
+    return {path.name: path.read_text("utf-8") for path in files}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    assert unreached_definitions(_package_sources()) == []
+
+
+def test_every_exemption_names_a_definition():
+    # a stale exemption would let a later definition of that name pass
+    defined = {qual for src in _package_sources().values()
+               for _, qual, _ in _definitions(ast.parse(src))}
+    assert EXEMPT <= defined
