@@ -46,8 +46,6 @@ from .curves import (
     Configuration,
     bezout_irreducibility,
     genus_ordinary,
-    shared_value_curve,
-    scaled_value_curve,
     singular_census,
     verify_curve_identities,
 )
@@ -296,7 +294,7 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
     idx = index_data(p)
     shared_keys = [k for k in identities if k.startswith("shared")]
     rep["shared_curve"] = {
-        "defining": str(shared_value_curve(p)),
+        "defining": str(identities.shared),
         "identities": {k: identities[k] for k in shared_keys},
         "census": rpt.jsonable(_shared_census_block(cs, idx)),
     }
@@ -305,7 +303,7 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
         scaled_keys = [k for k in identities if k.startswith("scaled")]
         rep["scaled_curve"] = {
             "c": rpt.jsonable(c),
-            "defining": str(scaled_value_curve(p, c)),
+            "defining": str(identities.scaled),
             "identities": {k: identities[k] for k in scaled_keys},
             "census": rpt.jsonable(_scaled_census_block(p, c, cs, idx)),
         }

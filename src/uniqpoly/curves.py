@@ -77,6 +77,10 @@ def restrict_diagonal(t: TriPoly) -> Poly:
 
 # exact identity battery
 
+_XYZ = tuple(TriPoly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+_X_MINUS_Y = _XYZ[0] - _XYZ[1]
+
+
 def _dz_order(p: Poly, fz: TriPoly, low: int,
               expected: Callable[[int, int], TriPoly]) -> bool:
     """With m0 the top support exponent of P in [low, n): fz vanishes to
@@ -95,32 +99,45 @@ def _dz_order(p: Poly, fz: TriPoly, low: int,
                  quot.content) == expected(m0, (n - m0) * p.prim[m0]))
 
 
-def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
+class CurveChecks(dict):
+    """The identity battery's name -> bool map, with the two curves it
+    checked as ``shared`` and ``scaled``."""
+
+    def __init__(self, checks: dict[str, bool], shared: TriPoly,
+                 scaled: TriPoly):
+        super().__init__(checks)
+        self.shared, self.scaled = shared, scaled
+
+
+def verify_curve_identities(p: Poly, c: Fraction | int) -> CurveChecks:
     """Check every structural identity both curves must satisfy.
 
     Returns a name -> bool map; all True for every valid input. Kept as a
     map rather than a bare bool so failures say which identity broke.
+    Each of the six first partials is taken once and shared by the
+    identities that use it; no identity compares a value with itself.
     """
     n = p.degree
     F = shared_value_curve(p)
     G = scaled_value_curve(p, c)  # which rejects a c of any other type
     c = Fraction(c)
-    x, y, z = (TriPoly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    x, y, z = _XYZ
+    x_y = _X_MINUS_Y
     dp = p.derivative()
     ph_x, ph_y = homogenize_x(p, n), homogenize_y(p, n)
     dph_x, dph_y = homogenize_x(dp, n - 1), homogenize_y(dp, n - 1)
+    Fx, Fy, Fz = (F.partial(v) for v in "xyz")
+    Gx, Gy, Gz = (G.partial(v) for v in "xyz")
 
     checks = {
-        "shared_defining": (x - y) * F == ph_x - ph_y,
-        "shared_dx": (x - y) * F.partial("x") == dph_x - F,
-        "shared_dy": (x - y) * F.partial("y") == F - dph_y,
-        "shared_euler": x * F.partial("x") + y * F.partial("y") + z * F.partial("z")
-        == (n - 1) * F,
+        "shared_defining": x_y * F == ph_x - ph_y,
+        "shared_dx": x_y * Fx == dph_x - F,
+        "shared_dy": x_y * Fy == F - dph_y,
+        "shared_euler": x * Fx + y * Fy + z * Fz == (n - 1) * F,
         "shared_diagonal": restrict_diagonal(F) == dp,
-        "scaled_dx": G.partial("x") == dph_x,
-        "scaled_dy": G.partial("y") == (-c) * dph_y,
-        "scaled_euler": x * G.partial("x") + y * G.partial("y") + z * G.partial("z")
-        == n * G,
+        "scaled_dx": Gx == dph_x,
+        "scaled_dy": Gy == (-c) * dph_y,
+        "scaled_euler": x * Gx + y * Gy + z * Gz == n * G,
         "scaled_diagonal": restrict_diagonal(G) == (1 - c) * p,
     }
 
@@ -128,14 +145,14 @@ def verify_curve_identities(p: Poly, c: Fraction | int) -> dict[str, bool]:
     # top support exponent below n (for the shared curve the constant
     # term never enters)
     checks["shared_dz_order"] = _dz_order(
-        p, F.partial("z"), 1,
+        p, Fz, 1,
         lambda m0, a: _tri({(m0 - 1 - j, j, 0): a for j in range(m0)}, p.content))
     checks["scaled_dz_order"] = _dz_order(
-        p, G.partial("z"), 0,
+        p, Gz, 0,
         lambda m0, a: (_tri({(m0, 0, 0): a}, p.content)
                        - _tri({(0, m0, 0): a}, p.content * c)))
 
-    return checks
+    return CurveChecks(checks, F, G)
 
 
 # abstract configurations and their singular census

@@ -21,7 +21,15 @@ powers included.
 Values are kept as their nonzero terms, exponent -> coefficient, and
 become a Poly once, at the end. An integer literal stays an int, so a
 "p/q" literal is the only source of a Fraction, and integer input
-reaches Poly with no Fraction per coefficient. A power of a sum is
+reaches Poly with no Fraction per coefficient. A product or power that
+meets a sum with a Fraction in it, such as (X + 1/2)^9, is expanded on
+integer numerators over one common denominator, (2X + 1)^9 / 2^9, and
+so are the sums its term enters; the division into Fractions happens
+once, when the parentheses close or at the end, where the numerators
+become a Poly with content 1/den. Its check is exact on the reduced
+coefficients: reducing only shrinks numerator and denominator, so when
+the largest numerator and the common denominator fit, all do, and only
+otherwise is each coefficient reduced and checked. A power of a sum is
 computed by squaring with each step checked, so one that outgrows the
 bound fails within a few squarings. A power of one term c X^e is
 c^k X^(ek) in one step, and the check is the same: with
@@ -34,10 +42,11 @@ so "2^100000" fails at once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Poly
+from .polynomials import Poly, _poly
 
 
 class ParseError(ValueError):
@@ -125,6 +134,41 @@ def _mul(a: Terms, b: Terms) -> Terms:
     return {e: c for e, c in out.items() if c}
 
 
+class _Ratio:
+    """Integer numerators over one denominator, num / den: the value of
+    a product or power that met a rational sum, and of a sum with such a
+    term. It becomes Fractions only when its parentheses close, and a
+    Poly with content 1/den at the end of the input."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict[int, int], den: int):
+        self.num, self.den = num, den
+
+    def terms(self) -> Terms:
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
+
+
+def _rational_sum(a: Terms) -> bool:
+    """Whether a has more than one term and a Fraction among them."""
+    return len(a) > 1 and Fraction in map(type, a.values())
+
+
+def _as_ratio(a: Terms | _Ratio) -> _Ratio:
+    """a over the lcm of its denominators."""
+    if isinstance(a, _Ratio):
+        return a
+    den = math.lcm(*[c.denominator for c in a.values()])
+    return _Ratio({e: c.numerator * (den // c.denominator)
+                   for e, c in a.items()}, den)
+
+
+def _negated(a: Terms | _Ratio) -> Terms | _Ratio:
+    if isinstance(a, _Ratio):
+        return _Ratio(_negated(a.num), a.den)
+    return {e: -c for e, c in a.items()}
+
+
 class _Parser:
     def __init__(self, text: str, degree_cap: Optional[int] = None):
         self.tokens = _tokenize(text)
@@ -154,14 +198,61 @@ class _Parser:
             self.check(c, offset)
         return terms
 
-    def expr(self) -> Terms:
+    def bounded_ratio(self, num: dict[int, int], den: int,
+                      offset: int) -> _Ratio:
+        """num / den with every reduced coefficient checked. Reducing
+        only shrinks numerator and denominator, so when the largest |num|
+        and den fit, every reduced coefficient does; otherwise each one
+        is reduced and checked, and num and den lose their common
+        factor."""
+        if max(map(abs, num.values()), default=0).bit_length() > \
+                MAX_COEFF_BITS or den.bit_length() > MAX_COEFF_BITS:
+            for c in num.values():
+                g = math.gcd(c, den)
+                if max(abs(c) // g, den // g).bit_length() > MAX_COEFF_BITS:
+                    raise _too_large(offset)
+            g = math.gcd(den, *num.values())
+            num, den = {e: c // g for e, c in num.items()}, den // g
+        return _Ratio(num, den)
+
+    def product(self, a: Terms | _Ratio, b: Terms | _Ratio,
+                offset: int) -> Terms | _Ratio:
+        """a * b, bounded; on integer numerators when a _Ratio or a sum
+        with a Fraction in it takes part."""
+        if not (isinstance(a, _Ratio) or isinstance(b, _Ratio)
+                or _rational_sum(a) or _rational_sum(b)):
+            return self.bounded(_mul(a, b), offset)
+        a, b = _as_ratio(a), _as_ratio(b)
+        return self.bounded_ratio(_mul(a.num, b.num), a.den * b.den, offset)
+
+    def expr(self) -> Terms | _Ratio:
         acc = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.take()
+            t = self.term()
+            if isinstance(acc, _Ratio) or isinstance(t, _Ratio):
+                # on integer numerators over the lcm of the denominators,
+                # into acc's own when its denominator is the lcm; every
+                # coefficient is checked
+                a, b = _as_ratio(acc), _as_ratio(t)
+                den = math.lcm(a.den, b.den)
+                ka, kb = den // a.den, den // b.den
+                num = a.num if ka == 1 else \
+                    {e: ka * c for e, c in a.num.items()}
+                if op == "-":
+                    kb = -kb
+                for e, c in b.num.items():
+                    c = num.get(e, 0) + kb * c
+                    if c:
+                        num[e] = c
+                    else:
+                        del num[e]
+                acc = self.bounded_ratio(num, den, offset)
+                continue
             # add in place; acc and the term were each checked when
             # built, so only a coefficient of X^e present in both can
             # outgrow the bound
-            for e, c in self.term().items():
+            for e, c in t.items():
                 if op == "-":
                     c = -c
                 if e in acc:
@@ -173,7 +264,7 @@ class _Parser:
                 acc[e] = c
         return acc
 
-    def term(self) -> Terms:
+    def term(self) -> Terms | _Ratio:
         acc = self.factor()
         while True:
             kind, _, offset = self.peek()
@@ -182,9 +273,9 @@ class _Parser:
             elif kind not in ("var", "int", "("):
                 return acc
             # "*", or juxtaposition: 4X, 2(X+1), (X+1)(X-1)
-            acc = self.bounded(_mul(acc, self.factor()), offset)
+            acc = self.product(acc, self.factor(), offset)
 
-    def factor(self) -> Terms:
+    def factor(self) -> Terms | _Ratio:
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
@@ -197,9 +288,9 @@ class _Parser:
                 self.fail(("integer exponent",))
             self.take()
             base = self.power(base, int(text), offset)
-        return base if sign == 1 else {e: -c for e, c in base.items()}
+        return base if sign == 1 else _negated(base)
 
-    def power(self, base: Terms, k: int, offset: int) -> Terms:
+    def power(self, base: Terms, k: int, offset: int) -> Terms | _Ratio:
         # reject before expanding, so a huge exponent fails at once
         cap = self.degree_cap
         degree = max(base, default=-1)  # -1 for 0, as Poly.degree
@@ -215,15 +306,20 @@ class _Parser:
             return self.bounded({e * k: c ** k}, offset)
         # square and multiply with every step bounded, so a power whose
         # coefficients outgrow the bound stops within a few squarings
-        # instead of being computed
-        out: Terms = {0: 1}
+        # instead of being computed; a sum with a Fraction in it is
+        # raised on its integer numerators, (X + 1/2)^k as
+        # (2X + 1)^k / 2^k. The lowest power taken is base itself,
+        # bounded already.
+        if _rational_sum(base):
+            base = _as_ratio(base)
+        out = None
         while k:
             if k & 1:
-                out = self.bounded(_mul(out, base), offset)
+                out = base if out is None else self.product(out, base, offset)
             k >>= 1
             if k:
-                base = self.bounded(_mul(base, base), offset)
-        return out
+                base = self.product(base, base, offset)
+        return {0: 1} if out is None else out
 
     def atom(self) -> Terms:
         kind, text, _ = self.peek()
@@ -251,6 +347,8 @@ class _Parser:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING}", offset)
             inner = self.expr()
+            if isinstance(inner, _Ratio):
+                inner = inner.terms()
             if self.peek()[0] != ")":
                 self.fail((")",))
             self.take()
@@ -262,11 +360,15 @@ class _Parser:
 def parse_poly(text: str, degree_cap: Optional[int] = None) -> Poly:
     """Parse text to a Poly; ParseError carries the byte offset."""
     parser = _Parser(text, degree_cap)
-    terms = parser.expr()
+    value = parser.expr()
     kind, _, offset = parser.peek()
     if kind != "end":
         parser.fail(("+", "-", "*", "^", "end of input"))
-    p = Poly.from_support(terms)
+    # the one division of the integer numerators: content 1/den
+    value = _as_ratio(value)
+    p = _poly([value.num.get(e, 0)
+               for e in range(max(value.num, default=-1) + 1)],
+              Fraction(1, value.den))
     if degree_cap is not None and p.degree > degree_cap:
         raise DegreeCapError(p.degree, degree_cap)
     return p

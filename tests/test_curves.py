@@ -22,6 +22,7 @@ from uniqpoly.curves import (
     singular_census,
     verify_curve_identities,
 )
+from uniqpoly.parser import parse_poly
 from uniqpoly.polynomials import Poly, X
 from uniqpoly.trivariate import TriPoly
 
@@ -200,8 +201,18 @@ def _extra_monomial(t: TriPoly, e) -> TriPoly:
     return t + TriPoly({e: 1})
 
 
+def _bumped(t: TriPoly, e) -> TriPoly:
+    """t with 1 added to the coefficient of the monomial e it holds."""
+    assert e in t.terms
+    return t + TriPoly({e: 1})
+
+
 # p = X^4 - 4X, whose shared curve is X^3 + X^2 Y + X Y^2 + Y^3 - 4 Z^3;
-# each change of a constructor, and the identities it must break
+# each change of a constructor, and the identities it must break. Each
+# identity shares a first partial with another, so none may hold by
+# construction: the curves of another P and single changed coefficients
+# must break their identities too
+OTHER = X**4 + X**2 - 4 * X
 BREAKS = {
     "shared + X^2 Z": ("shared", lambda t: _extra_monomial(t, (2, 0, 1)),
                        {"shared_defining", "shared_dx", "shared_dy",
@@ -209,20 +220,42 @@ BREAKS = {
     "shared * 2": ("shared", lambda t: t * 2,
                    {"shared_defining", "shared_dx", "shared_dy",
                     "shared_diagonal", "shared_dz_order"}),
+    "shared of another P": ("shared", lambda t: shared_value_curve(OTHER),
+                            {"shared_defining", "shared_dx", "shared_dy",
+                             "shared_diagonal", "shared_dz_order"}),
+    "shared X^2 Y + 1": ("shared", lambda t: _bumped(t, (2, 1, 0)),
+                         {"shared_defining", "shared_dx", "shared_dy",
+                          "shared_diagonal"}),
+    "shared Z^3 + 1": ("shared", lambda t: _bumped(t, (0, 0, 3)),
+                       {"shared_defining", "shared_dx", "shared_dy",
+                        "shared_diagonal", "shared_dz_order"}),
     # X^3 Y has no Z, so the z-partial and its order stay as they were
     "scaled + X^3 Y": ("scaled", lambda t: _extra_monomial(t, (3, 1, 0)),
                        {"scaled_dx", "scaled_dy", "scaled_diagonal"}),
     "scaled * 2": ("scaled", lambda t: t * 2,
                    {"scaled_dx", "scaled_dy", "scaled_diagonal",
                     "scaled_dz_order"}),
+    "scaled of another P": ("scaled", lambda t: scaled_value_curve(OTHER, 2),
+                            {"scaled_dx", "scaled_dy", "scaled_diagonal",
+                             "scaled_dz_order"}),
+    # P + 3 moves only the Z^4 coefficient, which no partial but the
+    # z-partial's Z^3 term sees, above the order that check reads
+    "scaled of P + 3": ("scaled",
+                        lambda t: scaled_value_curve(X**4 - 4 * X + 3, 2),
+                        {"scaled_diagonal"}),
+    "scaled X^4 + 1": ("scaled", lambda t: _bumped(t, (4, 0, 0)),
+                       {"scaled_dx", "scaled_diagonal"}),
+    "scaled Y Z^3 + 1": ("scaled", lambda t: _bumped(t, (0, 1, 3)),
+                         {"scaled_dy", "scaled_diagonal", "scaled_dz_order"}),
 }
 
 
 @pytest.mark.parametrize("change", sorted(BREAKS))
 def test_identity_battery_catches_a_wrong_curve(change, monkeypatch, capsys):
-    # a form off by one monomial, or by its content alone (which a
-    # content-blind == would miss), must fail the identities it touches;
-    # the Euler relations hold for any form of the right degree
+    # a form off by one monomial or one coefficient, by its content alone
+    # (which a content-blind == would miss), or built for another P, must
+    # fail the identities it touches; the Euler relations hold for any
+    # form of the right degree
     kind, alter, broken = BREAKS[change]
     name = f"{kind}_value_curve"
     true = getattr(curves, name)
@@ -230,9 +263,43 @@ def test_identity_battery_catches_a_wrong_curve(change, monkeypatch, capsys):
     p = X**4 - 4 * X
     checks = verify_curve_identities(p, 2)
     assert {k for k, ok in checks.items() if not ok} == broken
+    assert len(checks) == 11
     assert cli.main(["curve", "--c=2", "--", "X^4-4*X"]) == cli.EXIT_INTERNAL
     rep = json.loads(capsys.readouterr().out)
     assert rep["identities_pass"] is False
+    # the report prints the curve the battery checked
+    wrong = alter(true(p) if kind == "shared" else true(p, Q(2)))
+    assert rep[f"{kind}_curve"]["defining"] == str(wrong)
+
+
+def test_one_curve_call_builds_each_curve_and_partial_once(monkeypatch,
+                                                           capsys):
+    built, partials = [], []
+    for kind in ("shared", "scaled"):
+        name = f"{kind}_value_curve"
+        true = getattr(curves, name)
+        monkeypatch.setattr(curves, name, lambda *a, kind=kind, true=true: (
+            built.append(kind) or true(*a)))
+    exact = TriPoly.partial
+
+    def counted(self, var):
+        partials.append((self, var))
+        return exact(self, var)
+
+    monkeypatch.setattr(TriPoly, "partial", counted)
+    text = "-4*(X + 1/2)^5 + (X + 1/2)^3 - 3/2*(X + 1/2) + 7"
+    p = parse_poly(text)
+    assert cli.main(["curve", "--c=2", "--", text]) == cli.EXIT_OK
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["identities_pass"] is True
+    assert sorted(built) == ["scaled", "shared"]
+    F, G = shared_value_curve(p), scaled_value_curve(p, 2)
+    assert rep["shared_curve"]["defining"] == str(F)
+    assert rep["scaled_curve"]["defining"] == str(G)
+    assert sorted(("F" if t == F else "G" if t == G else "?", v)
+                  for t, v in partials) == [
+        ("F", "x"), ("F", "y"), ("F", "z"),
+        ("G", "x"), ("G", "y"), ("G", "z")]
 
 
 def _sympy_form(expr, gens, degree: int) -> dict:

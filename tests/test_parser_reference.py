@@ -204,6 +204,28 @@ def test_random_expressions_parse_as_before(text):
 DEEP = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
 
 
+# sums with a Fraction in them, expanded on integer numerators over one
+# denominator; the bound holds each reduced coefficient, so the forms
+# whose common-denominator numerator or denominator passes 4,096 bits
+# are checked coefficient by coefficient, and some of them fit
+RATIONAL_SUMS = (
+    "(1/2*3^1300*X + 1/2)^2", "1/3*2^4095*X + 1/3",
+    "(1/2*X + 1/2)^64", "(1/2*X - 1/2)^63", "(3/2*X + 1/2)^16",
+    "-(X + 1/2)^5 + 25/4*(X + 1/2)^4 - 10/3*(X + 1/2)^3 - 3",
+    "(X + 1/2)^3 - (X + 1/2)^3", "(X + 1/2)^2 - (X - 1/2)^2",
+    "((X + 1/2)^2 - X^2 - X)^3", "((X + 1/2)^2 - X^2 - X)^40",
+    "--(1/2X + 1)^3", "(X + 1/2)^0",
+    "(1/2X + 1/3)(2/3X - 3/4)(X + 1)", "(1/2X + 1/3)^2 + (1/6X)^2",
+    # over the bound unreduced, every reduced coefficient fits
+    "(2^2047*X + 1/2)^2", "(2^4095*X + 2^4095)*(X + 1/2)",
+    "(1/3*2^4095*X + 1/3)*3", "(X + 1/2)^2*1/2^4000 + 1/3^2500*X^3",
+    # over the bound unreduced, and a reduced coefficient too
+    "(2^4095*X + 2^4095)*(X + 1/3)", "(1/3*2^4095*X + 1/3)^2",
+    "(1/2^2048*X + 1/2^2048)^2", "(2^4094*X + 1/2)*2 + 2^4095*X",
+    "(2^4094*X + 1/2)*2 - -2^4095*X",
+)
+
+
 @pytest.mark.parametrize("cap", [64, None])
 def test_edge_cases_parse_as_before(cap):
     for text in ("X - X", "0*X^100", "0^0", "(X-X)^0", "2^4095", "2^4096",
@@ -211,8 +233,32 @@ def test_edge_cases_parse_as_before(cap):
                  DEEP, "(" + DEEP + ")", "(-1)^1000001", "1^" + "9" * 900,
                  "0^" + "9" * 50, "(X-X)^" + "9" * 50, "(1/3)^2584",
                  "(1/3)^2585", "(2/3X^2)^2048", "2^2048*2^2048",
-                 "-X^2 - -3", "3/4X^2 + 1/2", "2X(X+1)", "(X-1)(X+1)"):
+                 "-X^2 - -3", "3/4X^2 + 1/2", "2X(X+1)", "(X-1)(X+1)",
+                 *RATIONAL_SUMS):
         _agree(text, cap)
+
+
+def test_rational_sum_outcomes():
+    too_large = f"coefficient exceeds {MAX_COEFF_BITS} bits at offset"
+    for text in ("(1/2*3^1300*X + 1/2)^2", "(1/3*2^4095*X + 1/3)^2",
+                 "(1/2^2048*X + 1/2^2048)^2"):
+        offset = text.rindex("^")
+        assert _agree(text) == ("ParseError", f"{too_large} {offset}",
+                                offset), text
+    for text, op in (("(2^4095*X + 2^4095)*(X + 1/3)", "*"),
+                     ("(2^4094*X + 1/2)*2 + 2^4095*X", "+")):
+        offset = text.rindex(op)
+        assert _agree(text) == ("ParseError", f"{too_large} {offset}",
+                                offset), text
+    assert _agree("(2^2047*X + 1/2)^2")[1] == \
+        2**4094 * X**2 + 2**2047 * X + Q(1, 4)
+    assert _agree("(2^4095*X + 2^4095)*(X + 1/2)")[1] == \
+        2**4095 * X**2 + 3 * 2**4094 * X + 2**4094
+    assert _agree("(1/3*2^4095*X + 1/3)*3")[1] == 2**4095 * X + 1
+    assert _agree("(X + 1/2)^2*1/2^4000 + 1/3^2500*X^3")[1].coeff(3) == \
+        Q(1, 3**2500)
+    assert _agree("(X + 1/2)^3 - (X + 1/2)^3") == ("ok", Poly.zero())
+    assert _agree("(1/2*X + 1/2)^64")[1] == (X + 1)**64 * Q(1, 2**64)
 
 
 def test_edge_case_outcomes():
@@ -270,3 +316,35 @@ def test_no_product_for_a_power_of_a_monomial(monkeypatch):
         # every power is c X^e or X^e: one product per "*", none for "^"
         assert item.text.count("^") > 10
         assert len(products) == item.text.count("*"), item.text
+
+
+def test_no_fraction_product_in_a_power_of_a_rational_sum(monkeypatch):
+    # P(+-X +- 1/2) is raised on integer numerators over 2^k: no power
+    # multiplies two Fractions, and a term or sum of them divides once
+    in_power, products = [], []
+    power = parser._Parser.power
+
+    def tracked(self, *args):
+        in_power.append(1)
+        try:
+            return power(self, *args)
+        finally:
+            in_power.pop()
+
+    def counted(op):
+        def mul(a, b):
+            if in_power:
+                products.append((a, b))
+            return op(a, b)
+        return mul
+
+    monkeypatch.setattr(parser._Parser, "power", tracked)
+    monkeypatch.setattr(Q, "__mul__", counted(Q.__mul__))
+    monkeypatch.setattr(Q, "__rmul__", counted(Q.__rmul__))
+    powers = 0
+    for item in _gen().curve_census(0):
+        assert parse_poly(item.text, degree_cap=64) == \
+            _reference_parse(item.text, 64)
+        powers += item.text.count("^")
+    assert powers > 30
+    assert products == []
