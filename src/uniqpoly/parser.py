@@ -18,24 +18,19 @@ MAX_LITERAL_DIGITS digits, and every coefficient met while parsing at
 most MAX_COEFF_BITS bits in its numerator and in its denominator,
 powers included.
 
-Values are kept as their nonzero terms, exponent -> coefficient, and
-become a Poly once, at the end. An integer literal stays an int, so a
-"p/q" literal is the only source of a Fraction, and integer input
-reaches Poly with no Fraction per coefficient. A product or power that
-meets a sum with a Fraction in it, such as (X + 1/2)^9, is expanded on
-integer numerators over one common denominator, (2X + 1)^9 / 2^9, and
-so are the sums its term enters; the division into Fractions happens
-once, when the parentheses close or at the end, where the numerators
-become a Poly with content 1/den. Its check is exact on the reduced
-coefficients: reducing only shrinks numerator and denominator, so when
-the largest numerator and the common denominator fit, all do, and only
-otherwise is each coefficient reduced and checked. A power of a sum is
-computed by squaring with each step checked, so one that outgrows the
-bound fails within a few squarings. A power of one term c X^e is
-c^k X^(ek) in one step, and the check is the same: with
-m = max(|num c|, den c), the larger side of c^j is m^j, whose bit
-length never falls as j grows, and squaring forms c^j only for j <= k,
-so some step would fail exactly when c^k does. When
+Every value is kept as the integer numerators of its nonzero terms,
+exponent -> numerator, over one common denominator, 1 for integer input,
+and becomes a Poly with content 1/den once, at the end. So (X + 1/2)^9
+is expanded as (2X + 1)^9 / 2^9, with no Fraction product. The check is
+exact on the reduced coefficients: reducing only shrinks numerator and
+denominator, so when the largest numerator and the common denominator
+fit, all do, and only otherwise is each coefficient reduced and checked.
+A power of a sum is computed by squaring with each step checked, so one
+that outgrows the bound fails within a few squarings. A power of one
+term c X^e, c reduced, is c^k X^(ek) in one step, and the check is the
+same: with m = max(|num c|, den c), the larger side of c^j is m^j, whose
+bit length never falls as j grows, and squaring forms c^j only for
+j <= k, so some step would fail exactly when c^k does. When
 k (bits(m) - 1) >= MAX_COEFF_BITS, m^k is too large and is not formed,
 so "2^100000" fails at once.
 """
@@ -119,54 +114,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-# a parsed value as its nonzero terms: exponent -> coefficient, an int
-# unless a p/q literal made it a Fraction
-Terms = dict[int, int | Fraction]
+# a parsed value, num / den: the integer numerators of its nonzero terms,
+# exponent -> int, over one positive denominator, 1 for integer input
+Value = tuple[dict[int, int], int]
 
 
-def _mul(a: Terms, b: Terms) -> Terms:
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Product over the nonzero pairs of terms."""
-    out: Terms = {}
+    out: dict[int, int] = {}
     for i, c in a.items():
         for j, d in b.items():
             e = i + j
             out[e] = out[e] + c * d if e in out else c * d
     return {e: c for e, c in out.items() if c}
-
-
-class _Ratio:
-    """Integer numerators over one denominator, num / den: the value of
-    a product or power that met a rational sum, and of a sum with such a
-    term. It becomes Fractions only when its parentheses close, and a
-    Poly with content 1/den at the end of the input."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict[int, int], den: int):
-        self.num, self.den = num, den
-
-    def terms(self) -> Terms:
-        return {e: Fraction(c, self.den) for e, c in self.num.items()}
-
-
-def _rational_sum(a: Terms) -> bool:
-    """Whether a has more than one term and a Fraction among them."""
-    return len(a) > 1 and Fraction in map(type, a.values())
-
-
-def _as_ratio(a: Terms | _Ratio) -> _Ratio:
-    """a over the lcm of its denominators."""
-    if isinstance(a, _Ratio):
-        return a
-    den = math.lcm(*[c.denominator for c in a.values()])
-    return _Ratio({e: c.numerator * (den // c.denominator)
-                   for e, c in a.items()}, den)
-
-
-def _negated(a: Terms | _Ratio) -> Terms | _Ratio:
-    if isinstance(a, _Ratio):
-        return _Ratio(_negated(a.num), a.den)
-    return {e: -c for e, c in a.items()}
 
 
 class _Parser:
@@ -189,82 +149,62 @@ class _Parser:
         what = "end of input" if kind == "end" else repr(text)
         raise ParseError(f"unexpected {what}", offset, expected)
 
-    def check(self, c: int | Fraction, offset: int) -> None:
-        if _bits(c) > MAX_COEFF_BITS:
-            raise _too_large(offset)
+    def check(self, c: int, den: int, offset: int) -> None:
+        """Raise unless c / den, reduced, fits the bound."""
+        if max(abs(c), den).bit_length() > MAX_COEFF_BITS:
+            g = math.gcd(c, den)
+            if max(abs(c) // g, den // g).bit_length() > MAX_COEFF_BITS:
+                raise _too_large(offset)
 
-    def bounded(self, terms: Terms, offset: int) -> Terms:
-        for c in terms.values():
-            self.check(c, offset)
-        return terms
-
-    def bounded_ratio(self, num: dict[int, int], den: int,
-                      offset: int) -> _Ratio:
+    def bounded(self, num: dict[int, int], den: int, offset: int) -> Value:
         """num / den with every reduced coefficient checked. Reducing
         only shrinks numerator and denominator, so when the largest |num|
         and den fit, every reduced coefficient does; otherwise each one
-        is reduced and checked, and num and den lose their common
-        factor."""
-        if max(map(abs, num.values()), default=0).bit_length() > \
-                MAX_COEFF_BITS or den.bit_length() > MAX_COEFF_BITS:
+        is checked, and num and den lose their common factor."""
+        if den.bit_length() <= MAX_COEFF_BITS:
             for c in num.values():
-                g = math.gcd(c, den)
-                if max(abs(c) // g, den // g).bit_length() > MAX_COEFF_BITS:
-                    raise _too_large(offset)
-            g = math.gcd(den, *num.values())
-            num, den = {e: c // g for e, c in num.items()}, den // g
-        return _Ratio(num, den)
+                if c.bit_length() > MAX_COEFF_BITS:  # that of |c|
+                    break
+            else:
+                return num, den
+        for c in num.values():
+            self.check(c, den, offset)
+        g = math.gcd(den, *num.values())
+        return {e: c // g for e, c in num.items()}, den // g
 
-    def product(self, a: Terms | _Ratio, b: Terms | _Ratio,
-                offset: int) -> Terms | _Ratio:
-        """a * b, bounded; on integer numerators when a _Ratio or a sum
-        with a Fraction in it takes part."""
-        if not (isinstance(a, _Ratio) or isinstance(b, _Ratio)
-                or _rational_sum(a) or _rational_sum(b)):
-            return self.bounded(_mul(a, b), offset)
-        a, b = _as_ratio(a), _as_ratio(b)
-        return self.bounded_ratio(_mul(a.num, b.num), a.den * b.den, offset)
+    def product(self, a: Value, b: Value, offset: int) -> Value:
+        (an, ad), (bn, bd) = a, b
+        return self.bounded(_mul(an, bn), ad * bd, offset)
 
-    def expr(self) -> Terms | _Ratio:
-        acc = self.term()
+    def expr(self) -> Value:
+        num, den = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, offset = self.take()
-            t = self.term()
-            if isinstance(acc, _Ratio) or isinstance(t, _Ratio):
-                # on integer numerators over the lcm of the denominators,
-                # into acc's own when its denominator is the lcm; every
-                # coefficient is checked
-                a, b = _as_ratio(acc), _as_ratio(t)
-                den = math.lcm(a.den, b.den)
-                ka, kb = den // a.den, den // b.den
-                num = a.num if ka == 1 else \
-                    {e: ka * c for e, c in a.num.items()}
-                if op == "-":
-                    kb = -kb
-                for e, c in b.num.items():
-                    c = num.get(e, 0) + kb * c
-                    if c:
-                        num[e] = c
-                    else:
-                        del num[e]
-                acc = self.bounded_ratio(num, den, offset)
-                continue
-            # add in place; acc and the term were each checked when
-            # built, so only a coefficient of X^e present in both can
-            # outgrow the bound
+            t, tden = self.term()
+            # add in place over the lcm of the denominators; a rescaled
+            # coefficient keeps its value, and both sides were checked
+            # when built, so only a coefficient of X^e present in both
+            # can outgrow the bound
+            k = -1 if op == "-" else 1
+            if tden != den:
+                lcm = math.lcm(den, tden)
+                if lcm != den:
+                    s = lcm // den
+                    num = {e: s * c for e, c in num.items()}
+                    den = lcm
+                k *= lcm // tden
             for e, c in t.items():
-                if op == "-":
-                    c = -c
-                if e in acc:
-                    c += acc[e]
+                c *= k
+                if e in num:
+                    c += num[e]
                     if not c:
-                        del acc[e]
+                        del num[e]
                         continue
-                    self.check(c, offset)
-                acc[e] = c
-        return acc
+                    self.check(c, den, offset)
+                num[e] = c
+        return num, den
 
-    def term(self) -> Terms | _Ratio:
+    def term(self) -> Value:
         acc = self.factor()
         while True:
             kind, _, offset = self.peek()
@@ -275,7 +215,7 @@ class _Parser:
             # "*", or juxtaposition: 4X, 2(X+1), (X+1)(X-1)
             acc = self.product(acc, self.factor(), offset)
 
-    def factor(self) -> Terms | _Ratio:
+    def factor(self) -> Value:
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
@@ -288,30 +228,33 @@ class _Parser:
                 self.fail(("integer exponent",))
             self.take()
             base = self.power(base, int(text), offset)
-        return base if sign == 1 else _negated(base)
+        if sign == 1:
+            return base
+        num, den = base
+        return {e: -c for e, c in num.items()}, den
 
-    def power(self, base: Terms, k: int, offset: int) -> Terms | _Ratio:
+    def power(self, base: Value, k: int, offset: int) -> Value:
         # reject before expanding, so a huge exponent fails at once
+        num, den = base
         cap = self.degree_cap
-        degree = max(base, default=-1)  # -1 for 0, as Poly.degree
+        degree = max(num, default=-1)  # -1 for 0, as Poly.degree
         if cap is not None and degree * k > cap:
             raise DegreeCapError(degree * k, cap)
-        if len(base) == 1:
-            # c X^e in one step; checking c^k alone is exact, and a c^k
+        if len(num) == 1:
+            # c X^e in one step, c in lowest terms, as a sum or product
+            # may leave it; checking c^k alone is exact, and a c^k
             # with at least 2^(k (bits(c) - 1)) on its larger side is
             # rejected unformed (see the module docstring)
-            ((e, c),) = base.items()
-            if k * (_bits(c) - 1) >= MAX_COEFF_BITS:
+            ((e, c),) = num.items()
+            g = math.gcd(c, den)
+            c, den = c // g, den // g
+            if k * (max(abs(c), den).bit_length() - 1) >= MAX_COEFF_BITS:
                 raise _too_large(offset)
-            return self.bounded({e * k: c ** k}, offset)
+            return self.bounded({e * k: c ** k}, den ** k, offset)
         # square and multiply with every step bounded, so a power whose
         # coefficients outgrow the bound stops within a few squarings
-        # instead of being computed; a sum with a Fraction in it is
-        # raised on its integer numerators, (X + 1/2)^k as
-        # (2X + 1)^k / 2^k. The lowest power taken is base itself,
-        # bounded already.
-        if _rational_sum(base):
-            base = _as_ratio(base)
+        # instead of being computed. The lowest power taken is base
+        # itself, bounded already.
         out = None
         while k:
             if k & 1:
@@ -319,27 +262,27 @@ class _Parser:
             k >>= 1
             if k:
                 base = self.product(base, base, offset)
-        return {0: 1} if out is None else out
+        return ({0: 1}, 1) if out is None else out
 
-    def atom(self) -> Terms:
+    def atom(self) -> Value:
         kind, text, _ = self.peek()
         if kind == "int":
             self.take()
-            num = int(text)
+            num, den = int(text), 1
             if self.peek()[0] == "/":
                 self.take()
                 dkind, dtext, _ = self.peek()
                 if dkind != "int":
                     self.fail(("integer denominator",))
                 self.take()
-                if int(dtext) == 0:
+                den = int(dtext)
+                if den == 0:
                     _, _, off = self.tokens[self.pos - 1]
                     raise ParseError("zero denominator", off)
-                return {0: Fraction(num, int(dtext))} if num else {}
-            return {0: num} if num else {}
+            return ({0: num} if num else {}), den
         if kind == "var":
             self.take()
-            return {1: 1}
+            return {1: 1}, 1
         if kind == "(":
             _, _, offset = self.take()
             self.depth += 1
@@ -347,8 +290,6 @@ class _Parser:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING}", offset)
             inner = self.expr()
-            if isinstance(inner, _Ratio):
-                inner = inner.terms()
             if self.peek()[0] != ")":
                 self.fail((")",))
             self.take()
@@ -360,15 +301,13 @@ class _Parser:
 def parse_poly(text: str, degree_cap: Optional[int] = None) -> Poly:
     """Parse text to a Poly; ParseError carries the byte offset."""
     parser = _Parser(text, degree_cap)
-    value = parser.expr()
+    num, den = parser.expr()
     kind, _, offset = parser.peek()
     if kind != "end":
         parser.fail(("+", "-", "*", "^", "end of input"))
     # the one division of the integer numerators: content 1/den
-    value = _as_ratio(value)
-    p = _poly([value.num.get(e, 0)
-               for e in range(max(value.num, default=-1) + 1)],
-              Fraction(1, value.den))
+    p = _poly([num.get(e, 0) for e in range(max(num, default=-1) + 1)],
+              Fraction(1, den))
     if degree_cap is not None and p.degree > degree_cap:
         raise DegreeCapError(p.degree, degree_cap)
     return p

@@ -6,8 +6,7 @@ a primitive integer dict from (i, j, k) to the coefficient of X^i Y^j Z^k,
 free of zeros, homogeneous of degree ``degree`` and positive at its
 largest key (the zero form is 1 times {}, of degree None), so ``==`` is
 exact. Ring operations, partials and division by powers of Z run on the
-integers; by Gauss's lemma a product of primitive forms is primitive,
-and a product by a monomial is a shift of the exponents, with no gcd.
+integers; by Gauss's lemma a product of primitive forms is primitive.
 ``terms`` is the Fraction view, built on first read, as ``Poly.coeffs`` is.
 """
 
@@ -83,15 +82,6 @@ class TriPoly:
             return _tri(self.prim, self.content * other, primitive=True)
         if not isinstance(other, TriPoly):
             return NotImplemented
-        if len(self.prim) == 1:
-            self, other = other, self
-        if len(other.prim) == 1:
-            # a monomial, whose prim is {e: 1}: a shift of the exponents,
-            # which keeps their order, so the product stays primitive
-            ((a, b, d),) = other.prim
-            return _tri({(i + a, j + b, k + d): v
-                         for (i, j, k), v in self.prim.items()},
-                        self.content * other.content, primitive=True)
         out: dict[Exp, int] = {}
         for (i1, j1, k1), c1 in self.prim.items():
             for (i2, j2, k2), c2 in other.prim.items():

@@ -1,7 +1,7 @@
 """The sparse parser against the dense one it replaced.
 
-``parse_poly`` keeps its intermediate values as exponent -> coefficient
-maps and raises a one-term base c X^e to a power k as c^k X^(ek) in one
+``parse_poly`` keeps its intermediate values as exponent -> integer
+numerator maps over one denominator and raises a one-term base c X^e to a power k as c^k X^(ek) in one
 step. ``_reference_parse`` is the earlier parser, on dense ``Poly``
 values with every power computed by checked square and multiply. On
 random expressions up to degree 64 (sums of monomials, rational
@@ -223,6 +223,9 @@ RATIONAL_SUMS = (
     "(2^4095*X + 2^4095)*(X + 1/3)", "(1/3*2^4095*X + 1/3)^2",
     "(1/2^2048*X + 1/2^2048)^2", "(2^4094*X + 1/2)*2 + 2^4095*X",
     "(2^4094*X + 1/2)*2 - -2^4095*X",
+    # a one-term base left unreduced by a product, 1/2 as 2/4
+    "(2*1/4)^2049", "(2*1/4)^4095", "(2*1/4)^4096", "(6*1/4X)^2000",
+    "(2*1/4 + 1/4 - 1/4)^4095", "(2*1/4 + 1/4 - 1/4)^4096",
 )
 
 
@@ -320,7 +323,7 @@ def test_no_product_for_a_power_of_a_monomial(monkeypatch):
 
 def test_no_fraction_product_in_a_power_of_a_rational_sum(monkeypatch):
     # P(+-X +- 1/2) is raised on integer numerators over 2^k: no power
-    # multiplies two Fractions, and a term or sum of them divides once
+    # multiplies two Fractions
     in_power, products = [], []
     power = parser._Parser.power
 
