@@ -600,13 +600,16 @@ def _constraint_gcd(p: Poly) -> Poly:
     sum_{j <= n-2} E_j (X - s)^j with E_j = q_j (beta^j - beta^n). Its
     X^j coefficients are a unitriangular, beta-free transform of the E_j,
     so both sets have the same monic gcd, the gcd of the beta^j - beta^n
-    whose q_j is not 0. Every E_j vanishes at beta = 1, the identity
-    map, so the fold stops once the gcd is beta - 1. The q_j come from
-    P's coefficients here, not from ``taylor_shift``, so the audit stays
-    independent of the code it checks. Only whether q_j vanishes
-    matters, so with c = ``p.prim`` and s = u/v in lowest terms the sum
-    read is the integer v^(n-j) q_j / content = sum_k c_k C(k, j)
-    u^(k-j) v^(n-k).
+    whose q_j is not 0. As beta^j - beta^n = -beta^j (beta^(n-j) - 1) and
+    gcd(beta^a - 1, beta^b - 1) = beta^gcd(a, b) - 1, that gcd is
+    beta^m (beta^d - 1), with m the least such j and d the gcd of their
+    n - j, and 0 when every q_j is 0. Every E_j vanishes at beta = 1, the
+    identity map, so the scan stops once the gcd is beta - 1 (m = 0,
+    d = 1). The q_j come from P's coefficients here, not from
+    ``taylor_shift``, so the audit stays independent of the code it
+    checks. Only whether q_j vanishes matters, so with c = ``p.prim`` and
+    s = u/v in lowest terms the sum read is the integer
+    v^(n-j) q_j / content = sum_k c_k C(k, j) u^(k-j) v^(n-k).
     """
     n = p.degree
     if n < 1:
@@ -614,14 +617,14 @@ def _constraint_gcd(p: Poly) -> Poly:
     c = p.prim
     t = math.gcd(c[n - 1], n * c[n])
     u, v = -c[n - 1] // t, n * c[n] // t
-    g = Poly.zero()
+    m, d = n, 0
     for j in range(n - 1):
         if sum(c[k] * math.comb(k, j) * u ** (k - j) * v ** (n - k)
                for k in range(j, n + 1) if c[k]):
-            g = poly_gcd(g, Poly.from_support({j: 1, n: -1}))
-            if g.degree == 1:
-                return g
-    return g
+            m, d = min(m, j), math.gcd(d, n - j)
+            if m == 0 and d == 1:
+                break
+    return Poly.from_support({m: -1, m + d: 1}) if d else Poly.zero()
 
 
 def _strip_root(g: Poly, root: Fraction) -> Poly:
@@ -639,13 +642,16 @@ def witness_search(p: Poly, mode: str = "any_c", *,
     polynomial in beta; rational solutions come from the rational root
     test and root-of-unity solutions from cyclotomic divisors (orders
     up to the degree). Mode "c_equals_1" restricts to c = 1, the maps
-    that break plain uniqueness. The identity map never counts. Returns
+    that break plain uniqueness. The identity map never counts, so a
+    constraint of beta - 1 returns None at once. Returns
     a replayed witness or None. A caller searching both modes passes
     ``constraint``, the ``_constraint_gcd(p)`` it has already built.
     """
     if mode not in ("any_c", "c_equals_1"):
         raise ValueError("mode must be 'any_c' or 'c_equals_1'")
     g = _constraint_gcd(p) if constraint is None else constraint
+    if g.degree == 1:
+        return None  # beta - 1: only the identity map
     n = p.degree
     s = -p.coeff(n - 1) / (n * p.lc)
     cap = max(n, 2)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .polynomials import (
@@ -139,8 +140,8 @@ def index_data(p: Poly) -> IndexData:
 class CriticalStructure:
     polynomial: Poly
     derivative: Poly
-    derivative_parts: tuple[tuple[Poly, int], ...]  # squarefree_parts(P')
-    root_parts: tuple[tuple[Poly, int], ...]  # squarefree_parts(P)
+    derivative_parts: tuple[tuple[Poly, int], ...]  # squarefree splitting of P'
+    root_parts: tuple[tuple[Poly, int], ...]  # squarefree splitting of P
     radical: Poly  # monic product of distinct critical-point factors
     count: int  # number of distinct critical points (degree of radical)
     profile: tuple[int, ...]  # critical-point multiplicities in P', descending
@@ -171,25 +172,36 @@ def _separation_poly(rad: Poly, p: Poly) -> Poly:
 def critical_structure(p: Poly) -> CriticalStructure:
     """Critical points, profile and separation of P.
 
-    ``squarefree_parts`` splits P' (certified squarefree modulo a prime
-    when it can be, by Yun's algorithm otherwise) and decides whether P
-    itself is squarefree: P has a repeated root exactly when 0 is a
-    critical value, so ``has_zero_value`` means P is not squarefree.
-    Separation is decided from the value polynomial modulo a prime
-    (``separation_mod_p``), built from the power sums of the critical
-    values, the traces of P^k mod rad for k <= l, by Newton's identities.
+    ``separation_mod_p`` first builds, modulo a prime, the value
+    polynomial of r = P'/lc(P') from the traces of P^k mod r. If it is
+    squarefree, P' is squarefree and the critical values are distinct;
+    if its constant term is nonzero, no critical value is 0, so P is
+    squarefree: P has a repeated root exactly when 0 is a critical
+    value, which is what ``has_zero_value`` says. ``squarefree_parts``
+    splits only what the image leaves open: P' when the image is not
+    squarefree, after which the radical gets an image of its own if the
+    split changed it, and P when no image certified its constant term.
     The exact value polynomial is built only when no prime certifies
     separation, or later when ``separation_poly`` is first read.
     """
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
     dp = p.derivative()
-    parts = tuple(squarefree_parts(dp))
-    rad = math.prod((factor for factor, _ in parts), start=Poly.of(1))
+    rad = dp.monic()
+    image = separation_mod_p(rad, p)  # (squarefree, zero-free) or None
+    if image and image[0]:
+        parts = ((rad, 1),)
+    else:
+        parts = tuple(squarefree_parts(dp))
+        split = math.prod((factor for factor, _ in parts), start=Poly.of(1))
+        if split != rad:
+            rad = split
+            image = separation_mod_p(rad, p)
     profile = sorted((mult for factor, mult in parts
                       for _ in range(factor.degree)), reverse=True)
-    root_parts = tuple(squarefree_parts(p))
-    separated = separation_mod_p(rad, p)
+    root_parts = (((p.monic(), 1),) if image and image[1]
+                  else tuple(squarefree_parts(p)))
+    separated = bool(image and image[0])
     sep = None
     if not separated:
         sep = _separation_poly(rad, p)
@@ -308,16 +320,31 @@ def exceptional_flags(cs: CriticalStructure) -> ExceptionalFlags:
     cyclic ratios all equal to a primitive cube root of unity) says
     exactly that the values are the roots of T^3 - d with d != 0: both
     elementary symmetric functions e1 and e2 vanish while e3 does not.
-    That is read off the value polynomial without leaving the rationals.
+    With s_k the power sums of the values, e1 = s1 and
+    e2 = (s1^2 - s2)/2, so e1 = e2 = 0 exactly when s1 = s2 = 0, and
+    e3 != 0 is ``not has_zero_value``. s1 and s2 are exact traces over Q
+    (``_value_traces``), so no value polynomial is built.
     """
     n = cs.derivative.degree + 1
     structural = n == 4 and cs.profile == (1, 1, 1)
     w = False
-    if structural:
-        sep = cs.separation_poly
-        w = sep.coeff(2) == 0 and sep.coeff(1) == 0 and sep.coeff(0) != 0
+    if structural and not cs.has_zero_value:
+        w = _value_traces(cs.radical, cs.polynomial) == (0, 0)
     return ExceptionalFlags(
         quartic_w_case=w,
         quintic_case=n == 5 and cs.profile == (2, 2),
         quartic_structural=structural,
     )
+
+
+def _value_traces(rad: Poly, p: Poly) -> tuple[Fraction, Fraction]:
+    """The sums of P(alpha) and P(alpha)^2 over the roots alpha of the
+    monic rad: the traces sum_i [P^k]_i p_i of P and P^2 on Q[x]/(rad),
+    with p_i the power sums of the roots from Newton's identities."""
+    l, r = rad.degree, rad.coeffs
+    ps = [Q(l)]
+    for k in range(1, 2 * p.degree + 1):
+        ps.append(-(k * r[l - k] if k <= l else 0)
+                  - sum(r[l - i] * ps[k - i]
+                        for i in range(1, min(k - 1, l) + 1)))
+    return sum(map(mul, p.coeffs, ps)), sum(map(mul, (p * p).coeffs, ps))

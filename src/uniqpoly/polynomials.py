@@ -16,21 +16,21 @@ primitive vectors, gcd uses a primitive PRS, interpolation uses
 Newton's divided differences, and the cyclotomic polynomial Phi_r comes
 from exact division of X^r - 1. Sums and products skip zero
 coefficients, so building a polynomial term by term costs in proportion
-to its terms. Every squarefree decision is ``squarefree_parts``: Euclid
-on f and f' in F_q certifies f squarefree when it can, and only
-otherwise does Yun's algorithm run over Q. ``radical`` and
-``rational_roots`` read it, and so does ``criteria.critical_structure``,
-whose ``has_zero_value`` means P is not squarefree: P has a repeated
-root exactly when 0 is a critical value. The value polynomial of the
-critical points is built modulo a prime below 2^15 from power sums:
-Newton's identities give the power sums of the critical points, the
-traces of P^k mod rad P' give those of the critical values, and Newton's
-identities again give the coefficients. Each P^k mod rad P' is one
+to its terms. A squarefree decision is ``squarefree_parts``: Euclid on f
+and f' in F_q certifies f squarefree when it can, and only otherwise
+does Yun's algorithm run over Q. ``radical`` and ``rational_roots`` read
+it. ``criteria.critical_structure`` first asks the value polynomial of
+the roots of P'/lc(P') modulo a prime below 2^15, which certifies P'
+squarefree, the critical values distinct and P squarefree at once, and
+calls ``squarefree_parts`` only for what that image leaves open. The
+image comes from power sums: Newton's identities give the power sums of
+the roots, the traces of P^k mod r give those of the values, and
+Newton's identities again give the coefficients. Each P^k mod r is one
 product of residue vectors packed into one integer, folded back by a
-packed table of x^(l+i) mod rad P'. That image certifies the value
-polynomial squarefree. Rational roots come from roots modulo a small
-prime where the input stays squarefree, lifted by Hensel's lemma. The
-test suite checks the resultant against a Sylvester-determinant oracle.
+packed table of x^(l+i) mod r. Rational roots come from roots modulo a
+small prime where the input stays squarefree, lifted by Hensel's lemma.
+The test suite checks the resultant against a Sylvester-determinant
+oracle.
 """
 
 from __future__ import annotations
@@ -430,20 +430,28 @@ def _value_poly_mod(r: Sequence[int], a: Sequence[int], q: int) -> list[int]:
     return sep
 
 
-def separation_mod_p(rad: Poly, p: Poly) -> Optional[bool]:
-    """Whether the value polynomial is squarefree modulo a prime.
+def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
+    """Whether the value polynomial modulo a prime is squarefree, and
+    whether its constant term is nonzero.
 
-    The value polynomial is sep(t) = Res_X(rad, t - P), the product of
-    t - P(alpha) over the roots alpha of the monic rad. With q the first
-    prime of ``GCD_PRIMES`` above l = deg rad that divides neither content
-    denominator (so no coefficient's, as ``prim`` is primitive), every
-    P(alpha) is integral at q, so sep mod q is the characteristic
-    polynomial of multiplication by P mod rad in F_q[x]/(rad), built
-    from the power sums of its roots by
-    ``_value_poly_mod``, monic of degree l. Since sep is monic,
-    squarefree mod q makes it squarefree over Q: the critical values are
-    distinct. False means only that q certified nothing; None means no
-    prime was usable.
+    For monic ``rad`` of degree l the value polynomial is
+    sep(t) = Res_X(rad, t - P), the product of t - P(alpha) over the
+    roots alpha of rad, counted with multiplicity. With q the first prime
+    of ``GCD_PRIMES`` above l that divides neither content denominator
+    (so no coefficient's, as ``prim`` is primitive), every P(alpha) is
+    integral at q, and sep mod q is the characteristic polynomial of
+    multiplication by P in F_q[x]/(rad), built by ``_value_poly_mod``,
+    monic of degree l. By the Chinese remainder theorem on the primary
+    components of that ring, it is the product of t - P(beta) over the
+    roots beta of rad mod q, with multiplicity.
+
+    So an image squarefree mod q certifies three things: rad mod q is
+    squarefree, hence so is rad over Q, since by Gauss's lemma a square
+    factor of the monic rad is integral at q and stays one mod q; and the
+    monic sep is squarefree over Q, so the values are distinct. A nonzero
+    constant term (-1)^l Res(rad, P) mod q certifies that no root of rad
+    is a root of P. False in either place means only that q certified
+    nothing; None means no prime was usable.
     """
     l = rad.degree
     for q in GCD_PRIMES:
@@ -451,8 +459,8 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[bool]:
                 or p.content.denominator % q == 0:
             continue
         r = _reduce_mod(rad, q)
-        return _squarefree_mod(
-            _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q), q)
+        sep = _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q)
+        return _squarefree_mod(sep, q), sep[0] != 0
     return None
 
 

@@ -111,9 +111,17 @@ class TriPoly:
                     self.content, primitive=True)
 
     def __repr__(self) -> str:
+        # each coefficient a x / b, content a/b in lowest terms, printed
+        # as str(Fraction) would print it: gcd(a x, b) = gcd(x, b)
+        a, b = self.content.numerator, self.content.denominator
+
+        def coeff(x: int) -> str:
+            g = math.gcd(x, b)
+            return str(a * x // g) if g == b else f"{a * x // g}/{b // g}"
+
         return "TriPoly(" + (" + ".join(
-            f"{c}*X^{i}Y^{j}Z^{k}"
-            for (i, j, k), c in sorted(self.terms.items(), reverse=True))
+            f"{coeff(c)}*X^{i}Y^{j}Z^{k}"
+            for (i, j, k), c in sorted(self.prim.items(), reverse=True))
             or "0") + ")"
 
 

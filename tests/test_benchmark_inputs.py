@@ -12,9 +12,12 @@ is forced off and the exact value polynomial decides. On every parseable
 input of all three workloads, the value polynomial modulo a prime must
 equal the one from l + 1 resultants in F_q, and ``normalize`` must give
 the centered form that Horner's rule over Fraction coefficients gives.
-Two count tests pin the work: ``classify`` takes no radical on an input
-with no zero critical value, and the zero-valued degree-64 input
--3/7 P(X + 4/5) gets ``has_zero_value`` without an exact resultant.
+Every field of ``critical_structure`` must also equal what splitting P'
+and P first gives (``_reference_structure``). Count tests pin the work:
+``classify`` takes no radical on an input with no zero critical value,
+the seed-0 batch_small lines take no exact resultant through ``classify``
+and the audit, and the zero-valued degree-64 input -3/7 P(X + 4/5) gets
+``has_zero_value`` without an exact resultant.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from test_criteria import _check_modular_image
+from test_modular_certificates import _fields, _reference_structure
 from uniqpoly import criteria
 from uniqpoly.parser import DegreeCapError, ParseError, parse_poly
 from uniqpoly.polynomials import Poly
@@ -96,6 +100,12 @@ def test_modular_and_exact_critical_structure_agree(monkeypatch):
     assert len(separation_gcds) == len(inputs)  # the exact path decided each
 
 
+def test_critical_structure_matches_the_split_reference():
+    for p in _benchmark_inputs("batch_small", "degree_ladder", "curve_census"):
+        assert (_fields(criteria.critical_structure(p))
+                == _reference_structure(p)), p
+
+
 def test_modular_image_matches_the_resultant_route():
     inputs = _benchmark_inputs("batch_small", "degree_ladder", "curve_census")
     assert len(inputs) == 96 + 21 + 9
@@ -149,6 +159,17 @@ def test_classify_without_a_zero_value_takes_no_radical(monkeypatch):
     calls += _count_calls(monkeypatch, classify_mod, "radical")
     for p in inputs:
         classify_mod.classify(p)
+    assert calls == []
+
+
+def test_batch_small_takes_no_exact_resultant(monkeypatch):
+    # the quartic flags read traces over Q, not the value polynomial
+    inputs = _benchmark_inputs("batch_small")
+    assert sum(criteria.critical_structure(p).profile == (1, 1, 1)
+               and p.degree == 4 for p in inputs) >= 10
+    calls = _count_calls(monkeypatch, criteria, "resultant")
+    for p in inputs:
+        classify_mod.consistency_audit(p, classify_mod.classify(p))
     assert calls == []
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from uniqpoly.criteria import (
     AffineSymmetry,
+    _separation_poly,
     LinearFactor,
     affine_symmetry,
     critical_structure,
@@ -187,10 +188,11 @@ def _reference_image(r: list, a: list, q: int) -> list:
     return acc
 
 
-def _reduced(p: Poly) -> tuple:
-    """(rad, q, r, a): the monic radical of P', the prime
-    ``separation_mod_p`` takes, and rad and P mod rad reduced modulo it."""
-    rad = radical(p.derivative())
+def _reduced(p: Poly, rad: Poly | None = None) -> tuple:
+    """(rad, q, r, a): the monic radical of P' unless ``rad`` is given,
+    the prime ``separation_mod_p`` takes, and rad and P mod rad reduced
+    modulo it."""
+    rad = radical(p.derivative()) if rad is None else rad
     q = next(q for q in GCD_PRIMES if q > rad.degree and all(
         c.denominator % q for c in rad.coeffs + p.coeffs))
     r = _reduce_mod(rad, q)
@@ -199,12 +201,18 @@ def _reduced(p: Poly) -> tuple:
 
 def _check_modular_image(p: Poly) -> list:
     """The modular image of P's value polynomial equals the reference, and
-    ``separation_mod_p`` answers from it; returns the image."""
-    rad, q, r, a = _reduced(p)
-    image = _value_poly_mod(r, a, q)
-    assert image == _reference_image(r, a, q), p
-    assert separation_mod_p(rad, p) == _squarefree_mod(image, q), p
-    return image
+    ``separation_mod_p`` answers from it, for the radical of P' and for
+    P'/lc(P'), which ``critical_structure`` asks first; returns the
+    radical's image."""
+    images = []
+    for rad in (radical(p.derivative()), p.derivative().monic()):
+        rad, q, r, a = _reduced(p, rad)
+        image = _value_poly_mod(r, a, q)
+        assert image == _reference_image(r, a, q), p
+        assert separation_mod_p(rad, p) == (_squarefree_mod(image, q),
+                                            image[0] != 0), p
+        images.append(image)
+    return images[0]
 
 
 def test_modular_image_matches_the_reference():
@@ -366,6 +374,42 @@ def test_exceptional_flags():
             assert not f.quartic_w_case
         f = exceptional_flags(critical_structure(X**4 + a * X))
         assert f.quartic_w_case
+
+
+def _flag_by_value_polynomial(p: Poly) -> bool:
+    """The w-orbit flag as the exact value polynomial gives it: T^3 - d
+    with d != 0."""
+    cs = critical_structure(p)
+    sep = _separation_poly(cs.radical, p)
+    return sep.coeff(2) == 0 and sep.coeff(1) == 0 and sep.coeff(0) != 0
+
+
+def test_trace_flags_match_the_value_polynomial():
+    rng = random.Random(31)
+    grid = [X**4 + a * X + b for a in range(-3, 4) for b in range(-3, 4)]
+    dense = [Poly.of(*(Q(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(4)), Q(rng.randint(1, 5)))
+             for _ in range(40)]
+    # lambda P(X + s) keeps the orbit of the values of X^4 + aX
+    orbits = [(X**4 + a * X).taylor_shift(Q(rng.randint(-5, 5),
+                                            rng.randint(1, 4)))
+              * Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+              for a in (1, -2, 3, Q(1, 2))]
+    # values moved to sum 0, so s1 = 0 while s2 need not be
+    centered = [p + _separation_poly(radical(p.derivative()), p).coeff(2) / 3
+                for p in dense]
+    # and values whose squares sum to 0 while the values do not
+    squares = [X**4 + X**2 - 3 * X + 2, X**4 + 2 * X**2 + 2 * X + Q(7, 3),
+               X**4 + 3 * X**2 + 3 * X + Q(9, 2)]
+    seen = set()
+    for p in grid + dense + orbits + centered + squares:
+        cs = critical_structure(p)
+        if cs.profile != (1, 1, 1):
+            continue
+        want = _flag_by_value_polynomial(p)
+        seen.add(want)
+        assert exceptional_flags(cs).quartic_w_case == want, p
+    assert seen == {True, False}
 
 
 def test_degree_guards():

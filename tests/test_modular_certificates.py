@@ -1,21 +1,27 @@
 """Certificates modulo a prime, and the witness equations, against sympy.
 
-``critical_structure`` decides separation by building the monic value
-polynomial modulo a prime below 2^15 and checking it squarefree there
-(``_squarefree_mod``), and falls back to the exact gcd. A critical value
-is 0 exactly when P is not squarefree, which ``squarefree_parts`` decides
-modulo the same kind of prime before it runs Yun's algorithm; the exact
-resultant Res(rad P', P) stays the oracle the tests compare it with.
-``_constraint_gcd``
-reads the witness equations off the coefficients of P at its center; they
-are compared with the X-basis equations solved in sympy. These tests also
-check that the fallback gives the same verdicts when no prime certifies
-anything.
+``critical_structure`` builds the monic value polynomial of P'/lc(P')
+modulo a prime below 2^15 first. Squarefree there (``_squarefree_mod``),
+it certifies P' squarefree and the critical values distinct; a nonzero
+constant term certifies that no critical value is 0, so P is
+squarefree. What it leaves open goes to ``squarefree_parts``, to an
+image of the radical, and last to the exact gcd. Every field must equal
+what a reference gets by splitting P' and P first and asking the
+radical's image, as the structure was built before; the exact resultant
+Res(rad P', P) stays the oracle for a zero critical value.
+``_constraint_gcd`` reads the witness equations off the coefficients of
+P at its center and takes their gcd in closed form; it is compared with
+the X-basis equations solved in sympy and with a fold of exact gcds, and
+the witness search with a reference that runs the older steps. These
+tests also check that the fallback gives the same verdicts when no prime
+certifies anything.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import math
 import random
 import time
 from fractions import Fraction as Q
@@ -30,7 +36,10 @@ from uniqpoly.polynomials import (
     Poly,
     X,
     _squarefree_mod,
+    _value_poly_mod,
 )
+from test_criteria import _reduced
+from test_squarefree import _q_unlucky
 
 sympy = pytest.importorskip("sympy")
 classify_mod = importlib.import_module("uniqpoly.classify")
@@ -207,9 +216,95 @@ def test_constraint_gcd_stops_at_beta_minus_one(monkeypatch):
     rng = random.Random(20)
     for _ in range(3):
         p = _dense(rng, 20)
-        calls.clear()
         assert _constraint_gcd(p) == X - 1
-        assert len(calls) <= 2  # one per equation, 19, before the stop
+        # beta - 1 admits only the identity, in either mode
+        assert classify_mod.witness_search(p, "any_c") is None
+        assert classify_mod.witness_search(p, "c_equals_1") is None
+    assert calls == []  # the closed form and the early exit take no gcd
+
+
+def _fold_constraint_gcd(p: Poly) -> Poly:
+    """The constraint gcd as a fold of exact gcds of beta^j - beta^n over
+    the j with q_j != 0, q_j read off ``taylor_shift``."""
+    n = p.degree
+    q = p.taylor_shift(-p.coeff(n - 1) / (n * p.lc))
+    g = Poly.zero()
+    for j in range(n - 1):
+        if q.coeff(j):
+            g = polynomials.poly_gcd(g, Poly.from_support({j: 1, n: -1}))
+    return g
+
+
+def _strip(g: Poly, root: Q) -> Poly:
+    while g.degree >= 1 and g.evaluate(root) == 0:
+        g = g.exact_div(Poly.of(-root, 1))
+    return g
+
+
+def _reference_search(p: Poly, mode: str):
+    """(order, beta) of the map the search must find, or None: the fold's
+    gcd with the roots 1 and 0 stripped, cut down to the c = 1 maps by
+    gcd with beta^n - 1, then its least rational root, else its least
+    cyclotomic divisor."""
+    n = p.degree
+    g = _fold_constraint_gcd(p)
+    if g.is_zero:
+        if mode == "any_c" or n % 2 == 0:
+            return 2, Q(-1)
+        return (n, None) if n > 1 else None
+    g = _strip(_strip(g, Q(1)), Q(0))
+    if mode == "c_equals_1":
+        g = polynomials.poly_gcd(g, Poly.from_support({n: 1, 0: -1}))
+    if g.degree < 1:
+        return None
+    roots = sorted((r for r, _ in polynomials.rational_roots(g)
+                    if r not in (0, 1)), key=lambda r: (abs(r), r))
+    if roots:
+        return (2 if roots[0] == -1 else 1), roots[0]
+    for r in range(2, max(n, 2) + 1):
+        try:
+            g.exact_div(polynomials.cyclotomic(r))
+        except ValueError:
+            continue
+        return r, None
+    return None
+
+
+def _search_inputs() -> list[Poly]:
+    rng = random.Random(23)
+    out = [X**6 + X**3, X**4 - 4 * X, X**8 + X**4 + 2, X**9 + X**3,
+           X**6 - 2 * X**2, X**2, X**3, X**12 + X**8 + X**4, X**10 - X**5]
+    # pure powers about a center, where the gcd is 0
+    out += [(X - Q(rng.randint(-9, 9), rng.randint(1, 5))) ** n
+            * Q(rng.randint(1, 9), rng.randint(1, 9)) for n in range(2, 12)]
+    for _ in range(60):
+        n = rng.randint(3, 24)
+        # sparse: a few exponents sharing a common step, then shifted
+        step = rng.choice([1, 2, 3, 4, 5])
+        terms = {n * step: 1}
+        for e in rng.sample(range(0, n * step - 1, step),
+                            min(3, n - 1)):
+            terms[e] = rng.randint(-5, 5)
+        p = Poly.from_support(terms)
+        out.append(p)
+        out.append(p.taylor_shift(Q(rng.randint(-7, 7), rng.randint(1, 4)))
+                   * Q(rng.randint(1, 6), rng.randint(1, 6)))
+    out += [_dense(rng, rng.randint(2, 16)) for _ in range(30)]
+    out += [_rational(rng, rng.randint(2, 12)) for _ in range(20)]
+    return out
+
+
+def test_constraint_gcd_matches_the_fold():
+    for p in _search_inputs():
+        assert _constraint_gcd(p) == _fold_constraint_gcd(p), p
+
+
+def test_witness_search_matches_the_reference():
+    for p in _search_inputs():
+        for mode in ("any_c", "c_equals_1"):
+            w = classify_mod.witness_search(p, mode)
+            got = None if w is None else (w.order, w.beta)
+            assert got == _reference_search(p, mode), (p, mode)
 
 
 def test_degree_64_classify_is_fast():
@@ -305,3 +400,62 @@ def test_zero_value_matches_the_exact_resultant():
         assert cs.has_zero_value == (
             polynomials.resultant(cs.radical, p) == 0), p
     assert all(critical_structure(p).has_zero_value for p in zero_valued)
+
+
+def _reference_structure(p: Poly) -> tuple:
+    """Every ``CriticalStructure`` field as the structure was built
+    before one image certified P' and P: ``squarefree_parts`` splits P'
+    and P, the radical's value-polynomial image at the same prime decides
+    separation, and the exact gcd decides when that image is not
+    squarefree."""
+    dp = p.derivative()
+    parts = tuple(polynomials.squarefree_parts(dp))
+    rad = math.prod((f for f, _ in parts), start=Poly.of(1))
+    profile = sorted((m for f, m in parts for _ in range(f.degree)),
+                     reverse=True)
+    root_parts = tuple(polynomials.squarefree_parts(p))
+    _, q, r, a = _reduced(p, rad)
+    separated = _squarefree_mod(_value_poly_mod(r, a, q), q)
+    if not separated:
+        sep = criteria._separation_poly(rad, p)
+        separated = polynomials.poly_gcd(sep, sep.derivative()).degree == 0
+    return (p, dp, parts, root_parts, rad, rad.degree, tuple(profile),
+            separated, any(m > 1 for _, m in root_parts))
+
+
+def _fields(cs) -> tuple:
+    return tuple(getattr(cs, f.name) for f in dataclasses.fields(cs))
+
+
+def _integral(f: Poly) -> Poly:
+    return Poly.of(0, *(c / (i + 1) for i, c in enumerate(f.coeffs)))
+
+
+def _structure_inputs() -> list[Poly]:
+    rng = random.Random(29)
+    out = [_dense(rng, d) for d in list(range(2, 13)) + [16, 24, 32, 48, 64]]
+    out += [_rational(rng, rng.randint(2, 40)) for _ in range(12)]
+    for _ in range(12):
+        # sparse: X^n + a X^k + b, some of them shifted
+        n = rng.randint(3, 64)
+        p = X**n + rng.randint(-5, 5) * X**rng.randint(1, n - 1) \
+            + rng.randint(-5, 5)
+        out.append(p.taylor_shift(rng.choice([0, Q(1, 3), -2])))
+    for _ in range(12):
+        # P' with a repeated factor, so its image is never squarefree;
+        # the constant decides whether that critical point has value 0
+        a = Q(rng.randint(-4, 4), rng.randint(1, 3))
+        k = rng.randint(2, 4)
+        p = _integral((X - a) ** k * _dense(rng, rng.randint(0, 8)))
+        out += [p - p.evaluate(a), p + rng.randint(1, 9)]
+    out += [X**6 - 2 * X**2, (X - 1) ** 3 * (X + 2) + 5]
+    return out + _q_unlucky() + _zero_valued() + _non_separated()[:10]
+
+
+def test_critical_structure_matches_the_split_reference():
+    inputs = _structure_inputs()
+    repeated = [p for p in inputs
+                if critical_structure(p).count < p.degree - 1]
+    assert len(repeated) >= 20  # the image of P' certifies nothing there
+    for p in inputs:
+        assert _fields(critical_structure(p)) == _reference_structure(p), p

@@ -1,24 +1,32 @@
 """Squarefree splitting against sympy.
 
-``squarefree_parts`` is the one squarefree routine: it certifies p
+``squarefree_parts`` is the squarefree routine: it certifies p
 squarefree modulo ``GCD_PRIMES[0]`` when it can and runs Yun's algorithm
-over Q otherwise. ``radical`` is the product of its factors, and
-``critical_structure`` reads ``has_zero_value`` off it, since P has a
-repeated root exactly when 0 is a critical value. A derandomized
-hypothesis suite draws products of powers of random rational factors up
-to degree 64 and compares all three with sympy; ``separation_mod_p`` is
-stubbed there, so that no exact value polynomial is built. Fixed inputs
-that are squarefree over Q but not certified modulo q, because q divides
-the leading coefficient or two roots meet modulo q, must still come back
-as one factor of multiplicity 1, from Yun's algorithm. Two counts pin
-that ``critical_structure`` splits P' and P once for its readers:
-``affine_symmetry`` and the scaled curve census take no split of their
-own.
+over Q otherwise. ``radical`` is the product of its factors.
+``critical_structure`` asks the value-polynomial image of P'/lc(P')
+modulo a prime first: a squarefree image certifies P' squarefree, a
+nonzero constant term certifies P squarefree, and ``squarefree_parts``
+splits only what the image leaves open. ``has_zero_value`` means P is
+not squarefree, since P has a repeated root exactly when 0 is a critical
+value. A derandomized hypothesis suite draws products of powers of
+random rational factors up to degree 64 and compares the splittings of
+P and P' with sympy. ``separation_mod_p`` is stubbed there, so that no
+exact value polynomial is built: the stub takes separation as given
+wherever its argument is squarefree by sympy and never certifies a
+nonzero constant term, so ``has_zero_value`` always comes from
+``squarefree_parts`` and is checked. Fixed inputs that are squarefree
+over Q but not certified modulo q, because q divides the leading
+coefficient or two roots meet modulo q, must still come back as one
+factor of multiplicity 1, from Yun's algorithm. Count tests pin that
+``critical_structure`` splits P' and P at most once for its readers, and
+not at all when the image certifies both: ``affine_symmetry`` and the
+scaled curve census take no split of their own.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -85,11 +93,17 @@ def _check(p: Poly) -> None:
     if p.degree >= 2:
         # the separation verdict is not under test here: taking it as
         # certified keeps critical_structure from building the exact
-        # value polynomial of a non-separated P, seconds at degree 50
+        # value polynomial of a non-separated P, seconds at degree 50.
+        # The stub certifies a squarefree argument only as sympy does,
+        # and never a nonzero critical value
         with mock.patch.object(criteria, "separation_mod_p",
-                               lambda rad, p: True):
+                               lambda rad, p: (_to_sympy(rad).is_sqf, False)):
             cs = criteria.critical_structure(p)
         assert cs.has_zero_value == (sp.sqf_part().degree() < p.degree), p
+        _, want = sp.diff(T).sqf_list()
+        assert sorted(cs.derivative_parts, key=lambda fm: fm[1]) == sorted(
+            ((_from_sympy(f.monic()), m) for f, m in want),
+            key=lambda fm: fm[1]), p
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -141,13 +155,14 @@ def _count_splits(monkeypatch) -> list[Poly]:
 
 
 def test_classify_splits_p_once_before_its_replay(monkeypatch):
-    # P' once and P once in critical_structure; affine_symmetry reads P's
-    # radical off that split, and only the independent replay of the
-    # zero-set-symmetry witness splits P again
+    # the image of P' is squarefree but has a zero constant term, since 0
+    # is a critical value: critical_structure splits P alone, not P';
+    # affine_symmetry reads P's radical off that split, and only the
+    # independent replay of the zero-set-symmetry witness splits P again
     p = X * (X - 1)**2 * (X + 1)
     seen = _count_splits(monkeypatch)
     v = classify(p)
-    assert [f.degree for f in seen] == [3, 4, 4]
+    assert [f.degree for f in seen] == [4, 4]
     assert any(w.case == "zero-set-symmetry"
                for w in v.witnesses.values() if w is not None)
 
@@ -163,3 +178,27 @@ def test_scaled_census_reads_the_split_of_p_prime(monkeypatch, capsys):
     assert census["critical_points"] == ["-5/4", "1"]
     dp = p.derivative().monic()
     assert sum(f.monic() == dp for f in seen) == 1
+
+
+def test_certified_input_takes_one_modular_euclid_and_no_split(monkeypatch):
+    # one image certifies P' squarefree, the values distinct and P
+    # squarefree: one Euclid in F_q, on that image, and no split
+    rng = random.Random(5)
+    exact = polynomials._squarefree_mod
+    euclids = []
+
+    def counted(f, q):
+        euclids.append(len(f) - 1)
+        return exact(f, q)
+
+    monkeypatch.setattr(polynomials, "_squarefree_mod", counted)
+    seen = _count_splits(monkeypatch)
+    for degree in (5, 20, 64):
+        p = Poly.of(*(rng.randint(-9, 9) for _ in range(degree)), 3)
+        euclids.clear()
+        cs = criteria.critical_structure(p)
+        assert cs.is_separated and not cs.has_zero_value, p
+        assert cs.derivative_parts == ((p.derivative().monic(), 1),)
+        assert cs.root_parts == ((p.monic(), 1),)
+        assert euclids == [degree - 1]
+    assert seen == []
