@@ -65,6 +65,17 @@ from .polynomials import (
 
 Q = Fraction
 
+# ``cyclotomic``, ``poly_gcd`` and ``rational_roots`` are re-exported only
+# because perfbench/spans.py wraps them in this module by name, and the
+# traced run fails on a name that is missing; they go when the span
+# table moves (ROADMAP item 5)
+__all__ = [
+    "SLOTS", "CorollaryVerdict", "RuleStep", "Verdict", "Witness",
+    "classify", "consistency_audit", "corollary_classify", "corollary_shape",
+    "cyclotomic", "poly_gcd", "rational_roots", "verify_witness",
+    "witness_search",
+]
+
 SLOTS = ("up_rational", "sup_rational", "up_meromorphic", "sup_meromorphic")
 
 # the census facts for separated curves are used as axioms, not rederived
@@ -627,34 +638,34 @@ def _constraint_gcd(p: Poly) -> Poly:
     return Poly.from_support({m: -1, m + d: 1}) if d else Poly.zero()
 
 
-def _strip_root(g: Poly, root: Fraction) -> Poly:
-    lin = Poly.of(-root, Q(1))
-    while not g.is_zero and g.degree >= 1 and g.evaluate(root) == 0:
-        g = g.exact_div(lin)
-    return g
-
-
 def witness_search(p: Poly, mode: str = "any_c", *,
                    constraint: Optional[Poly] = None) -> Optional[Witness]:
     """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
-    Exact coefficient comparison reduces the problem to one constraint
-    polynomial in beta; rational solutions come from the rational root
-    test and root-of-unity solutions from cyclotomic divisors (orders
-    up to the degree). Mode "c_equals_1" restricts to c = 1, the maps
-    that break plain uniqueness. The identity map never counts, so a
-    constraint of beta - 1 returns None at once. Returns
-    a replayed witness or None. A caller searching both modes passes
-    ``constraint``, the ``_constraint_gcd(p)`` it has already built.
+    Exact coefficient comparison reduces the problem to the constraint
+    gcd beta^m (beta^d - 1) of ``_constraint_gcd``, so the answer is read
+    off m, d and n in closed form. The identity map never counts and
+    beta = 0 is no map, so the solutions are the roots of beta^d - 1
+    other than 1, and mode "c_equals_1", the maps with c = beta^n = 1
+    that break plain uniqueness, cuts d to gcd(d, n). With d = 1 nothing
+    is left; an even d admits the rational beta = -1; an odd d admits
+    the primitive r-th roots of unity exactly for the divisors r of d,
+    and the witness takes the least r >= 3, which is at most the degree.
+    Returns a replayed witness or None. A caller searching both modes
+    passes ``constraint``, the ``_constraint_gcd(p)`` it has already
+    built.
     """
     if mode not in ("any_c", "c_equals_1"):
         raise ValueError("mode must be 'any_c' or 'c_equals_1'")
     g = _constraint_gcd(p) if constraint is None else constraint
-    if g.degree == 1:
-        return None  # beta - 1: only the identity map
     n = p.degree
-    s = -p.coeff(n - 1) / (n * p.lc)
-    cap = max(n, 2)
+    if g:  # g = beta^m (beta^d - 1), m its lowest exponent
+        d = g.degree - g.support()[0]
+        if mode == "c_equals_1":
+            d = math.gcd(d, n)
+        if d == 1:
+            return None  # only the identity map
+    s = Q(-p.prim[n - 1], n * p.prim[n])  # the center
 
     def finish(order: int, beta: Optional[Fraction]) -> Witness:
         if beta is not None:
@@ -678,24 +689,9 @@ def witness_search(p: Poly, mode: str = "any_c", *,
             return finish(0, Q(-1))
         # the rotations of order n; for n = 1 that is only the identity
         return finish(n, None) if n > 1 else None
-    g = _strip_root(g, Q(1))
-    g = _strip_root(g, Q(0))
-    if mode == "c_equals_1":
-        g = poly_gcd(g, Poly.from_support({n: 1, 0: -1}))
-    if g.is_zero or g.degree == 0:
-        return None
-
-    roots = [r for r, _ in rational_roots(g) if r not in (0, 1)]
-    roots.sort(key=lambda r: (abs(r), r))
-    if roots:
-        return finish(0, roots[0])
-    for r in range(2, cap + 1):
-        try:
-            g.exact_div(cyclotomic(r))
-        except ValueError:
-            continue
-        return finish(r, None)
-    return None
+    if d % 2 == 0:
+        return finish(0, Q(-1))
+    return finish(next(r for r in range(3, d + 1, 2) if d % r == 0), None)
 
 
 # cross-validation of a verdict against the oracle

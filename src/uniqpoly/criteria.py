@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 from typing import Optional, Sequence
 
 from .polynomials import (
@@ -67,10 +66,8 @@ def normalize(p: Poly) -> NormalForm:
     n = p.degree
     if n < 1:
         raise ValueError("normalization needs degree at least 1")
-    scale = p.lc
-    shift = -p.coeff(n - 1) / (n * scale)
-    centered = p.taylor_shift(shift) * (1 / scale)
-    return NormalForm(p, centered, shift, scale)
+    shift = Q(-p.prim[n - 1], n * p.prim[n])
+    return NormalForm(p, p.taylor_shift(shift).monic(), shift, p.lc)
 
 
 # extended gcd over a set of integers, witnessing gcd as a Z-combination
@@ -322,8 +319,9 @@ def exceptional_flags(cs: CriticalStructure) -> ExceptionalFlags:
     elementary symmetric functions e1 and e2 vanish while e3 does not.
     With s_k the power sums of the values, e1 = s1 and
     e2 = (s1^2 - s2)/2, so e1 = e2 = 0 exactly when s1 = s2 = 0, and
-    e3 != 0 is ``not has_zero_value``. s1 and s2 are exact traces over Q
-    (``_value_traces``), so no value polynomial is built.
+    e3 != 0 is ``not has_zero_value``. s1 and s2 are traces, and
+    ``_value_traces`` tests them for zero on integers, so no value
+    polynomial is built.
     """
     n = cs.derivative.degree + 1
     structural = n == 4 and cs.profile == (1, 1, 1)
@@ -337,14 +335,29 @@ def exceptional_flags(cs: CriticalStructure) -> ExceptionalFlags:
     )
 
 
-def _value_traces(rad: Poly, p: Poly) -> tuple[Fraction, Fraction]:
-    """The sums of P(alpha) and P(alpha)^2 over the roots alpha of the
-    monic rad: the traces sum_i [P^k]_i p_i of P and P^2 on Q[x]/(rad),
-    with p_i the power sums of the roots from Newton's identities."""
-    l, r = rad.degree, rad.coeffs
-    ps = [Q(l)]
-    for k in range(1, 2 * p.degree + 1):
-        ps.append(-(k * r[l - k] if k <= l else 0)
-                  - sum(r[l - i] * ps[k - i]
+def _value_traces(rad: Poly, p: Poly) -> tuple[int, int]:
+    """Nonzero integer multiples of the sums of P(alpha) and P(alpha)^2
+    over the roots alpha of rad, 0 exactly when the sum is; only that is
+    read. With r = rad.prim of degree l and L = r_l, the L alpha are the
+    roots of the monic integer polynomial with coefficients
+    r_i L^(l-1-i), whose power sums P_k = L^k p_k come from Newton's
+    identities. The trace of an integer vector c of degree N on
+    Q[x]/(rad) is sum c_i p_i = L^(-N) sum c_i P_i L^(N-i), so the
+    integer sum is read for P's and P^2's primitive vectors; their
+    contents are nonzero."""
+    r, l = rad.prim, rad.degree
+    lead = r[l]
+    a = [x * lead ** (l - 1 - i) for i, x in enumerate(r[:l])]
+    sq = (p * p).prim  # a product of primitive vectors is primitive
+    ps = [l]
+    for k in range(1, len(sq)):
+        ps.append(-(k * a[l - k] if k <= l else 0)
+                  - sum(a[l - i] * ps[k - i]
                         for i in range(1, min(k - 1, l) + 1)))
-    return sum(map(mul, p.coeffs, ps)), sum(map(mul, (p * p).coeffs, ps))
+
+    def trace(c: tuple[int, ...]) -> int:
+        top = len(c) - 1
+        return sum(x * ps[i] * lead ** (top - i)
+                   for i, x in enumerate(c) if x)
+
+    return trace(p.prim), trace(sq)

@@ -322,17 +322,19 @@ def format_poly(p: Poly) -> str:
     """Canonical descending form; parse_poly(format_poly(p)) == p."""
     if p.is_zero:
         return "0"
+    # coefficient e is a x / b, with a/b the content in lowest terms and
+    # x = prim[e], so its lowest terms divide by gcd(a x, b) = gcd(x, b)
+    a, b = p.content.numerator, p.content.denominator
     parts: list[str] = []
     for e in range(p.degree, -1, -1):
-        c = p.coeff(e)
-        if c == 0:
+        x = p.prim[e]
+        if not x:
             continue
-        mag = abs(c)
-        if e == 0:
-            body = format_rational(mag)
-        else:
+        c, g = a * x, math.gcd(x, b)
+        body = str(abs(c) // g) if g == b else f"{abs(c) // g}/{b // g}"
+        if e:
             var = "X" if e == 1 else f"X^{e}"
-            body = var if mag == 1 else f"{format_rational(mag)}*{var}"
+            body = var if body == "1" else f"{body}*{var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -33,18 +33,16 @@ def jsonable(value: Any) -> Any:
     tool has no business reporting one, and a value of a type no report
     expects must fail loudly rather than print as its str.
     """
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+    # the cheap concrete checks first, bools among the ints; Fraction
+    # is a numbers.Rational, whose isinstance goes through the ABC
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    if isinstance(value, Fraction):
+        return format_rational(value)
     raise TypeError(f"reports carry no {type(value).__name__} values")
 
 

@@ -7,7 +7,6 @@ free of zeros, homogeneous of degree ``degree`` and positive at its
 largest key (the zero form is 1 times {}, of degree None), so ``==`` is
 exact. Ring operations, partials and division by powers of Z run on the
 integers; by Gauss's lemma a product of primitive forms is primitive.
-``terms`` is the Fraction view, built on first read, as ``Poly.coeffs`` is.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class TriPoly:
     """Homogeneous polynomial in X, Y, Z over Q. ``TriPoly(terms)`` takes
     a map from exponents to ints or Fractions."""
 
-    __slots__ = ("content", "prim", "degree", "_terms")
+    __slots__ = ("content", "prim", "degree")
 
     def __new__(cls, terms: Mapping[Exp, Fraction | int]) -> "TriPoly":
         # a Mapping holds each exponent once, so nothing is summed here
@@ -39,13 +38,6 @@ class TriPoly:
         den = math.lcm(*(c.denominator for c in clean.values()))
         return _tri({e: c.numerator * (den // c.denominator)
                      for e, c in clean.items()}, Fraction(1, den))
-
-    @property
-    def terms(self) -> dict[Exp, Fraction]:
-        """Coefficients as Fractions, keyed by exponent."""
-        if self._terms is None:
-            self._terms = {e: self.content * x for e, x in self.prim.items()}
-        return self._terms
 
     @property
     def is_zero(self) -> bool:
@@ -141,7 +133,7 @@ def _tri(ints: Mapping[Exp, int], content: Fraction,
         if g != 1:
             ints, content = {e: c // g for e, c in ints.items()}, content * g
     t = object.__new__(TriPoly)
-    t.content, t.prim, t._terms = content, ints, None
+    t.content, t.prim = content, ints
     t.degree = sum(next(iter(ints))) if ints else None
     return t
 

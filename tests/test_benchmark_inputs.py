@@ -140,9 +140,9 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     calls: list = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -183,3 +183,19 @@ def test_zero_valued_degree_64_takes_no_exact_resultant(monkeypatch):
     cs = criteria.critical_structure(p)
     assert cs.is_separated and cs.has_zero_value
     assert calls == []  # the exact Res(rad P', P) took 1.6 s here
+
+
+def test_witness_search_takes_no_gcd_root_or_cyclotomic(monkeypatch):
+    # the oracle reads its answer off the closed-form constraint gcd
+    inputs = _benchmark_inputs("batch_small", "degree_ladder")
+    verdicts = [classify_mod.classify(p) for p in inputs]
+    searches = _count_calls(monkeypatch, classify_mod, "witness_search")
+    calls = [_count_calls(monkeypatch, classify_mod, name)
+             for name in ("poly_gcd", "rational_roots", "cyclotomic")]
+    found = 0
+    for p, v in zip(inputs, verdicts):
+        oracle = classify_mod.consistency_audit(p, v)["oracle"]
+        found += sum(w is not None for w in oracle.values())
+    assert len(searches) == 2 * len(inputs)
+    assert found > 0  # some searches find a map
+    assert calls == [[], [], []]

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from uniqpoly import criteria
 from uniqpoly.criteria import (
     AffineSymmetry,
     _separation_poly,
@@ -411,6 +412,43 @@ def test_trace_flags_match_the_value_polynomial():
         assert exceptional_flags(cs).quartic_w_case == want, p
     assert seen == {True, False}
 
+
+
+def _exact_traces(p: Poly) -> tuple:
+    """s1 and s2, the sums of the critical values and of their squares,
+    read off the exact value polynomial T^3 - e1 T^2 + e2 T - e3."""
+    sep = _separation_poly(critical_structure(p).radical, p)
+    e1, e2 = -sep.coeff(2), sep.coeff(1)
+    return e1, e1 * e1 - 2 * e2
+
+
+def test_integer_traces_have_the_exact_zero_pattern():
+    rng = random.Random(37)
+    dense = [Poly.of(*(Q(rng.randint(-9, 9), rng.randint(1, 4))
+                       for _ in range(4)), Q(rng.randint(1, 5), rng.randint(1, 3)))
+             for _ in range(30)]
+    base = (dense
+            # values moved to sum 0: s1 = 0 alone
+            + [p - _exact_traces(p)[0] / 3 for p in dense[:10]]
+            # squares summing to 0: s2 = 0 alone
+            + [3 * X**4 + 3 * X**2 - X + 1, X**4 + X**2 - 3 * X + 2]
+            # the w-orbit quartics: s1 = s2 = 0
+            + [X**4 - 4 * X, (X**4 + X).taylor_shift(Q(-2, 5)) * Q(-7, 3)])
+    seen = set()
+    for p in base:
+        # P(k X) has the values of P, and k puts a denominator in rad
+        for k in (3, 7):
+            q = p.scale_input(k)
+            cs = critical_structure(q)
+            if cs.profile != (1, 1, 1):
+                continue
+            assert cs.radical.prim[-1] != 1, q
+            s1, s2 = _exact_traces(q)
+            got = criteria._value_traces(cs.radical, q)
+            assert all(type(t) is int for t in got)
+            assert (got[0] == 0, got[1] == 0) == (s1 == 0, s2 == 0), q
+            seen.add((s1 == 0, s2 == 0))
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
 def test_degree_guards():
     with pytest.raises(ValueError):

@@ -28,7 +28,8 @@ from uniqpoly.trivariate import TriPoly
 
 
 def _value_at(t, x, y, z):
-    return sum(c * x**i * y**j * z**k for (i, j, k), c in t.terms.items())
+    return t.content * sum(c * x**i * y**j * z**k
+                           for (i, j, k), c in t.prim.items())
 
 
 def local_multiplicity(t, x0, y0) -> int:
@@ -193,17 +194,18 @@ def test_multiplier_must_be_an_int_or_a_fraction():
     with pytest.raises(TypeError, match="coefficients must be ints or Fractions"):
         verify_curve_identities(X**3 + X, "3")
     # the exact tenth it stands for is accepted
-    assert scaled_value_curve(X**2 + X, Q(1, 10)).terms[(0, 2, 0)] == Q(-1, 10)
+    g = scaled_value_curve(X**2 + X, Q(1, 10))
+    assert g.content * g.prim[(0, 2, 0)] == Q(-1, 10)
 
 
 def _extra_monomial(t: TriPoly, e) -> TriPoly:
-    assert e not in t.terms
+    assert e not in t.prim
     return t + TriPoly({e: 1})
 
 
 def _bumped(t: TriPoly, e) -> TriPoly:
     """t with 1 added to the coefficient of the monomial e it holds."""
-    assert e in t.terms
+    assert e in t.prim
     return t + TriPoly({e: 1})
 
 
@@ -326,6 +328,8 @@ def test_curves_match_sympy():
         py = px.subs(x, y)
         cr = sympy.Rational(c.numerator, c.denominator)
         shared = sympy.cancel((px - py) / (x - y))
-        assert shared_value_curve(p).terms == _sympy_form(shared, (x, y), n - 1), p
+        want = TriPoly(_sympy_form(shared, (x, y), n - 1))
+        assert shared_value_curve(p) == want, p
         scaled = sympy.expand(px - cr * py)
-        assert scaled_value_curve(p, c).terms == _sympy_form(scaled, (x, y), n), (p, c)
+        want = TriPoly(_sympy_form(scaled, (x, y), n))
+        assert scaled_value_curve(p, c) == want, (p, c)

@@ -299,12 +299,47 @@ def test_constraint_gcd_matches_the_fold():
         assert _constraint_gcd(p) == _fold_constraint_gcd(p), p
 
 
+# (P, its constraint beta^m (beta^d - 1) as (m, d), the any_c and the
+# c_equals_1 answers as (order, beta)); c = 1 cuts d to gcd(d, n)
+CLOSED_FORM_CASES = [
+    (X**18 + X**9 + 1, (0, 9), (3, None), (3, None)),
+    (X**15 + 2, (0, 15), (3, None), (3, None)),
+    (X**16 + X, (1, 15), (3, None), None),
+    (X**25 + 3, (0, 25), (5, None), (5, None)),
+    (X**27 + X**2, (2, 25), (5, None), None),
+    (X**35 + X**10, (10, 25), (5, None), (5, None)),
+    (X**49 + 1, (0, 49), (7, None), (7, None)),
+    (X**50 + X, (1, 49), (7, None), None),
+    (X**8 + X**2 + 1, (0, 2), (2, Q(-1)), (2, Q(-1))),
+    (X**7 + X**3, (3, 4), (2, Q(-1)), None),
+    (X**15 + X**5, (5, 10), (2, Q(-1)), (5, None)),
+    (X**27 + X**9, (9, 18), (2, Q(-1)), (3, None)),
+    (X**15 + X**6 + 1, (0, 3), (3, None), (3, None)),
+    (X**21 + X**12, (12, 9), (3, None), (3, None)),
+    (X**10 + X**3, (3, 7), (7, None), None),
+    (X**9 + X**4 + X**2, (2, 1), None, None),
+]
+
+
 def test_witness_search_matches_the_reference():
-    for p in _search_inputs():
+    rng = random.Random(29)
+    cases = [(p, None) for p in _search_inputs()]
+    for p, md, any_c, c_one in CLOSED_FORM_CASES:
+        m, d = md
+        want = {"any_c": any_c, "c_equals_1": c_one}
+        shifted = (p.taylor_shift(Q(rng.randint(-9, 9), rng.randint(2, 9)))
+                   * Q(rng.choice([-1, 1]) * rng.randint(1, 9),
+                       rng.randint(1, 9)))
+        for q in (p, shifted):  # a rational center and content
+            assert _constraint_gcd(q) == Poly.from_support({m: -1, m + d: 1})
+            cases.append((q, want))
+    for p, want in cases:
         for mode in ("any_c", "c_equals_1"):
             w = classify_mod.witness_search(p, mode)
             got = None if w is None else (w.order, w.beta)
             assert got == _reference_search(p, mode), (p, mode)
+            if want is not None:
+                assert got == want[mode], (p, mode)
 
 
 def test_degree_64_classify_is_fast():

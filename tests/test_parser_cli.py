@@ -169,6 +169,47 @@ def test_format_round_trip_pins():
     assert format_poly(Poly.zero()) == "0"
 
 
+
+def _format_by_fractions(p: Poly) -> str:
+    """format_poly as it read the Fraction coefficients, kept as an
+    oracle for the integer version."""
+    if p.is_zero:
+        return "0"
+    parts: list[str] = []
+    for e in range(p.degree, -1, -1):
+        c = p.coeff(e)
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = format_rational(mag)
+        else:
+            var = "X" if e == 1 else f"X^{e}"
+            body = var if mag == 1 else f"{format_rational(mag)}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts)
+
+
+def test_format_poly_matches_the_fraction_reference():
+    rng = random.Random(41)
+    big = 10**40 + 7
+
+    def coeff():
+        k = rng.randint(1, 12)
+        return rng.choice([0, 0, 1, -1, Q(1, k), Q(-1, k), Q(k),
+                           Q(rng.randint(-big, big), rng.randint(1, big)),
+                           Q(rng.randint(-99, 99), rng.randint(1, 99))])
+
+    for _ in range(400):
+        cs = [coeff() for _ in range(rng.randint(0, 9))]
+        if cs and rng.random() < 0.5:
+            cs.append(-Q(rng.randint(1, 9), rng.randint(1, 9)))  # lc < 0
+        p = Poly(cs) * rng.choice([1, -1, Q(1, 3), Q(-5, big)])
+        assert format_poly(p) == _format_by_fractions(p), p
+
 def test_format_rational():
     assert format_rational(Q(3, 4)) == "3/4"
     assert format_rational(Q(-2)) == "-2"
@@ -366,6 +407,27 @@ def test_jsonable_rejects_types_no_report_carries():
     assert jsonable({1: (Q(1, 2), None, True, "s")}) == {
         "1": ["1/2", None, True, "s"]}
 
+
+
+def test_jsonable_contract():
+    class Pair(tuple):
+        pass
+
+    class Table(dict):
+        pass
+
+    for value in (None, True, False, 0, -7, 2**100, "", "1/2"):
+        out = jsonable(value)
+        assert out is value
+    assert jsonable({1: "a", "b": 2}) == {"1": "a", "b": 2}
+    assert jsonable((1, Q(1, 2))) == [1, "1/2"]
+    assert jsonable(Pair((Q(3), None))) == ["3", None]
+    out = jsonable(Table({2: Pair((Q(-4, 6), True))}))
+    assert out == {"2": ["-2/3", True]} and type(out) is dict
+    assert jsonable(Q(-3, 4)) == "-3/4" and jsonable(Q(6, 3)) == "2"
+    for bad in (0.5, object()):
+        with pytest.raises(TypeError):
+            jsonable(bad)
 
 def test_text_mode_renders_same_structure(capsys):
     code, out, _ = run_cli(capsys, "classify", "X^4+X+1", "--text")
