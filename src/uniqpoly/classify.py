@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .criteria import (
@@ -369,23 +370,24 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
         b.note("single-critical-point", {"profile": list(cs.profile)},
                "a pure-power translate, nothing is unique")
 
+    scan_f = linear_factor_scan(idx, "F")
+    scan_fc = linear_factor_scan(idx, "F_c")
+
     # rule 1: rotations fixing the centered form kill uniqueness outright
-    r1 = idx.symmetry_order
-    if r1 > 1:
-        w = _scaling_witness(r1, 0, idx.center)
+    for f in scan_f.factors:  # at most one, the whole rotation group
+        w = _scaling_witness(f.order, 0, idx.center)
         if not verify_witness(p, w):
             raise RuntimeError("rotation witness failed to replay")
-        inputs = {"order": r1, "center": str(idx.center)}
+        inputs = {"order": f.order, "center": str(idx.center)}
         for slot in SLOTS:
             b.set(slot, "no", "support-rotation-identity", inputs, lambda: w)
 
     # rule 2: rotations that only rescale the value kill strong uniqueness
-    r2 = idx.projective_symmetry_order
-    if r2 > 1 and idx.low_exp % r2 != 0:
-        w = _scaling_witness(r2, idx.low_exp, idx.center)
+    for f in scan_fc.factors:
+        w = _scaling_witness(f.order, f.c_exponent, idx.center)
         if not verify_witness(p, w):
             raise RuntimeError("multiplier witness failed to replay")
-        inputs = {"order": r2, "c_exponent": idx.low_exp % r2,
+        inputs = {"order": f.order, "c_exponent": f.c_exponent % f.order,
                   "center": str(idx.center)}
         b.set("sup_rational", "no", "support-rotation-multiplier", inputs,
               lambda: w)
@@ -394,14 +396,12 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
 
     # rule 3: with a wide gap below the top exponent, the rotation scan
     # is complete, so coprime support settles the strong verdicts
-    scan_f = linear_factor_scan(idx, "F")
-    scan_fc = linear_factor_scan(idx, "F_c")
     if scan_f.applicable:
         clean = not scan_f.factors and not scan_fc.factors
         inputs = {
             "gap": scan_f.gap,
-            "support_gcd": r1,
-            "shifted_gcd": r2,
+            "support_gcd": idx.symmetry_order,
+            "shifted_gcd": idx.projective_symmetry_order,
             "bezout_support": idx.bezout_support,
             "bezout_shifted": idx.bezout_shifted,
         }
@@ -436,8 +436,8 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     profile = cs.profile
     mn = profile[-1] if profile else 0
     flags = exceptional_flags(cs)
-    sym = affine_symmetry(idx, cs)
-    rigid = sym is None
+    rad_idx = affine_symmetry(idx, cs)
+    rigid = rad_idx is None
     no_linear = (
         "no rotation fixes the centered support"
         if idx.symmetry_order == 1
@@ -450,7 +450,8 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     b.note("zero-set-rigidity",
            {"rigid": rigid,
             **({} if rigid else
-               {"order": sym.order, "center": str(sym.center)})},
+               {"order": rad_idx.projective_symmetry_order,
+                "center": str(rad_idx.center)})},
            "zero set is affinely rigid" if rigid
            else "zero set has an affine symmetry")
 
@@ -475,7 +476,7 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     if cond_rational:
         if not rigid:
             b.set("sup_rational", "no", "separated-profile-strong-rational",
-                  {"rigid": False}, lambda: _rigidity_witness(p, sym))
+                  {"rigid": False}, lambda: _rigidity_witness(p, rad_idx))
         elif flags.quartic_w_case:
             def orbit_witness() -> Witness:
                 config = Configuration("scaled", (1, 1, 1),
@@ -524,7 +525,7 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     # the remaining case, l == 2 with min 1, propagates from up_rational
 
 
-def _rigidity_witness(p: Poly, sym) -> Witness:
+def _rigidity_witness(p: Poly, rad_idx) -> Witness:
     """Witness for a zero set that a nontrivial rotation permutes.
 
     The rotation never carries P to a multiple of itself here: P's center
@@ -532,8 +533,8 @@ def _rigidity_witness(p: Poly, sym) -> Witness:
     decided the strong verdicts. So the witness is the named exception with
     the radical identity as certificate.
     """
-    g, mu = sym.order, sym.center
-    k = sym.radical_support[-1]
+    g, mu = rad_idx.projective_symmetry_order, rad_idx.center
+    k = rad_idx.support[-1]
     w = Witness(
         kind="paper-exception",
         case="zero-set-symmetry",
@@ -542,7 +543,7 @@ def _rigidity_witness(p: Poly, sym) -> Witness:
         identity=f"rad(z(X - {mu}) + {mu}) = z^{k % g} rad(X) "
                  f"for z of order {g}",
         certificates={"order": g, "center": str(mu),
-                      "radical_support": list(sym.radical_support)},
+                      "radical_support": list(rad_idx.support)},
     )
     if not verify_witness(p, w):
         raise RuntimeError("zero-set symmetry failed to replay")
@@ -602,7 +603,9 @@ def corollary_shape(p: Poly) -> Optional[tuple[Fraction, int, int, Fraction, Fra
 
 # the independent linear-witness oracle
 
-def _constraint_gcd(p: Poly) -> Poly:
+# the audit searches both modes of one P; they share a single call
+@lru_cache(maxsize=1)
+def _constraint_gcd(p: Poly) -> tuple[int, int]:
     """gcd of the coefficient equations for P(beta X + gamma) = beta^n P(X).
 
     The top two coefficients force c = beta^n and gamma = s (1 - beta)
@@ -614,12 +617,13 @@ def _constraint_gcd(p: Poly) -> Poly:
     whose q_j is not 0. As beta^j - beta^n = -beta^j (beta^(n-j) - 1) and
     gcd(beta^a - 1, beta^b - 1) = beta^gcd(a, b) - 1, that gcd is
     beta^m (beta^d - 1), with m the least such j and d the gcd of their
-    n - j, and 0 when every q_j is 0. Every E_j vanishes at beta = 1, the
-    identity map, so the scan stops once the gcd is beta - 1 (m = 0,
-    d = 1). The q_j come from P's coefficients here, not from
-    ``taylor_shift``, so the audit stays independent of the code it
-    checks. Only whether q_j vanishes matters, so with c = ``p.prim`` and
-    s = u/v in lowest terms the sum read is the integer
+    n - j, and 0 when every q_j is 0. Returns (m, d), which is (n, 0)
+    for the gcd 0. Every E_j vanishes at beta = 1, the identity map, so
+    the scan stops once the gcd is beta - 1 (m = 0, d = 1). The q_j come
+    from P's coefficients here, not from ``taylor_shift``, so the audit
+    stays independent of the code it checks. Only whether q_j vanishes
+    matters, so with c = ``p.prim`` and s = u/v in lowest terms the sum
+    read is the integer
     v^(n-j) q_j / content = sum_k c_k C(k, j) u^(k-j) v^(n-k).
     """
     n = p.degree
@@ -635,68 +639,56 @@ def _constraint_gcd(p: Poly) -> Poly:
             m, d = min(m, j), math.gcd(d, n - j)
             if m == 0 and d == 1:
                 break
-    return Poly.from_support({m: -1, m + d: 1}) if d else Poly.zero()
+    return m, d
 
 
-def witness_search(p: Poly, mode: str = "any_c", *,
-                   constraint: Optional[Poly] = None) -> Optional[Witness]:
+def witness_search(p: Poly, mode: str) -> Optional[Witness]:
     """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
     Exact coefficient comparison reduces the problem to the constraint
     gcd beta^m (beta^d - 1) of ``_constraint_gcd``, so the answer is read
-    off m, d and n in closed form. The identity map never counts and
+    off d and n in closed form. The identity map never counts and
     beta = 0 is no map, so the solutions are the roots of beta^d - 1
     other than 1, and mode "c_equals_1", the maps with c = beta^n = 1
     that break plain uniqueness, cuts d to gcd(d, n). With d = 1 nothing
     is left; an even d admits the rational beta = -1; an odd d admits
     the primitive r-th roots of unity exactly for the divisors r of d,
     and the witness takes the least r >= 3, which is at most the degree.
-    Returns a replayed witness or None. A caller searching both modes
-    passes ``constraint``, the ``_constraint_gcd(p)`` it has already
-    built.
+    When the gcd is 0, P is a power of X - s and every rotation about s
+    works; the odd-degree c = 1 search then returns the one of order n.
+    Returns a replayed witness or None.
     """
     if mode not in ("any_c", "c_equals_1"):
         raise ValueError("mode must be 'any_c' or 'c_equals_1'")
-    g = _constraint_gcd(p) if constraint is None else constraint
+    _, d = _constraint_gcd(p)
     n = p.degree
-    if g:  # g = beta^m (beta^d - 1), m its lowest exponent
-        d = g.degree - g.support()[0]
-        if mode == "c_equals_1":
-            d = math.gcd(d, n)
-        if d == 1:
-            return None  # only the identity map
+    power = d == 0
+    if mode == "c_equals_1":
+        d = math.gcd(d, n)
+    if d == 1:
+        return None  # only the identity map
     s = Q(-p.prim[n - 1], n * p.prim[n])  # the center
-
-    def finish(order: int, beta: Optional[Fraction]) -> Witness:
-        if beta is not None:
-            gamma = s * (1 - beta)
-            c = beta**n
-            w = Witness(
-                kind="scaling" if c == 1 else "scaling-with-c",
-                order=2 if beta == -1 else 1,
-                beta=beta, gamma=gamma, c=c, c_exponent=n, center=s,
-                identity=f"P({beta} X + {gamma}) = {c} P(X)",
-            )
-        else:
-            w = _scaling_witness(order, n, s)
-        if not verify_witness(p, w):
-            raise RuntimeError("searched witness failed to replay")
-        return w
-
-    if g.is_zero:
-        # an exact power of (X - s): every map about the center works
-        if mode == "any_c" or n % 2 == 0:
-            return finish(0, Q(-1))
-        # the rotations of order n; for n = 1 that is only the identity
-        return finish(n, None) if n > 1 else None
     if d % 2 == 0:
-        return finish(0, Q(-1))
-    return finish(next(r for r in range(3, d + 1, 2) if d % r == 0), None)
+        beta = Q(-1)
+        gamma = s * (1 - beta)
+        c = beta**n
+        w = Witness(
+            kind="scaling" if c == 1 else "scaling-with-c",
+            order=2, beta=beta, gamma=gamma, c=c, c_exponent=n, center=s,
+            identity=f"P({beta} X + {gamma}) = {c} P(X)",
+        )
+    else:
+        order = n if power else next(r for r in range(3, d + 1, 2)
+                                     if d % r == 0)
+        w = _scaling_witness(order, n, s)
+    if not verify_witness(p, w):
+        raise RuntimeError("searched witness failed to replay")
+    return w
 
 
 # cross-validation of a verdict against the oracle
 
-def consistency_audit(p: Poly, verdict: Optional[Verdict] = None) -> dict:
+def consistency_audit(p: Poly, verdict: Verdict) -> dict:
     """Cross-check a verdict against the independent witness search.
 
     Every yes must defeat the oracle, every no that is not a named
@@ -704,18 +696,16 @@ def consistency_audit(p: Poly, verdict: Optional[Verdict] = None) -> dict:
     replay, and when the input has the closed-form trinomial shape the
     table must agree. Returns a report dict with ok and failures.
     """
-    v = verdict or classify(p)
     failures: list[str] = []
     checked: dict[str, str] = {}
     # slots implied by one another share a Witness object; replay it once
     replayed: dict[int, bool] = {}
 
-    constraint = _constraint_gcd(p)
-    any_c = witness_search(p, "any_c", constraint=constraint)
-    c_one = witness_search(p, "c_equals_1", constraint=constraint)
+    any_c = witness_search(p, "any_c")
+    c_one = witness_search(p, "c_equals_1")
 
     for slot in SLOTS:
-        value = v.slot(slot)
+        value = verdict.slot(slot)
         oracle = c_one if slot.startswith("up") else any_c
         mode = "c_equals_1" if slot.startswith("up") else "any_c"
         if value == "yes":
@@ -724,7 +714,7 @@ def consistency_audit(p: Poly, verdict: Optional[Verdict] = None) -> dict:
                     f"{slot} is yes but the {mode} search found a map")
             checked[slot] = "yes-unbroken"
         elif value == "no":
-            w = v.witnesses.get(slot)
+            w = verdict.witnesses.get(slot)
             if w is None:
                 failures.append(f"{slot} is no without a witness")
             else:
@@ -755,10 +745,10 @@ def consistency_audit(p: Poly, verdict: Optional[Verdict] = None) -> dict:
         }
         for slot in SLOTS:
             want = "yes" if table[slot] else "no"
-            if v.slot(slot) != want:
+            if verdict.slot(slot) != want:
                 failures.append(
                     f"{slot}: table says {want}, classifier says "
-                    f"{v.slot(slot)}")
+                    f"{verdict.slot(slot)}")
     return {
         "ok": not failures,
         "failures": failures,

@@ -29,7 +29,6 @@ from typing import Callable, Optional
 
 from .classify import (
     SLOTS,
-    _constraint_gcd,
     classify,
     consistency_audit,
     corollary_classify,
@@ -191,9 +190,8 @@ def _run_witness(text: str, args) -> tuple[int, dict]:
     if args.seed is not None:
         rep["seed"] = args.seed
     results = {}
-    constraint = _constraint_gcd(p)
     for mode in ("any_c", "c_equals_1"):
-        w = witness_search(p, mode=mode, constraint=constraint)
+        w = witness_search(p, mode)
         results[mode] = None if w is None else rpt.jsonable(w.as_dict())
         if w is not None:
             # witness_search replays before returning; record that

@@ -42,7 +42,7 @@ Q = Fraction
 # ``radical`` is re-exported: perfbench/spans.py wraps criteria.radical
 # by name, and the traced run fails on a name that is missing
 __all__ = [
-    "AffineSymmetry", "CriticalStructure", "ExceptionalFlags", "IndexData",
+    "CriticalStructure", "ExceptionalFlags", "IndexData",
     "LinearFactor", "LinearFactorScan", "NormalForm", "affine_symmetry",
     "critical_structure", "exceptional_flags", "ext_gcd_combo",
     "index_data", "linear_factor_scan", "normalize", "radical",
@@ -53,10 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalForm:
-    original: Poly
     centered: Poly  # monic, no X^{n-1} term
-    shift: Fraction  # centered(X) = original(X + shift) / scale
-    scale: Fraction
+    shift: Fraction  # centered(X) = P(X + shift) / lc(P)
 
 
 # classify's index_data and the audit's corollary_shape both normalize P;
@@ -67,7 +65,7 @@ def normalize(p: Poly) -> NormalForm:
     if n < 1:
         raise ValueError("normalization needs degree at least 1")
     shift = Q(-p.prim[n - 1], n * p.prim[n])
-    return NormalForm(p, p.taylor_shift(shift).monic(), shift, p.lc)
+    return NormalForm(p.taylor_shift(shift).monic(), shift)
 
 
 # extended gcd over a set of integers, witnessing gcd as a Z-combination
@@ -97,7 +95,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IndexData:
-    n: int
     center: Fraction
     support: tuple[int, ...]  # exponents of nonzero centered coefficients, ascending
     low_exp: int
@@ -119,7 +116,6 @@ def index_data(p: Poly) -> IndexData:
     shifted = [i - low for i in supp]
     g_shift, combo_shift = ext_gcd_combo(shifted)
     return IndexData(
-        n=n,
         center=nf.shift,
         support=supp,
         low_exp=low,
@@ -221,15 +217,8 @@ def critical_structure(p: Poly) -> CriticalStructure:
 
 # affine symmetries of the root set
 
-@dataclass(frozen=True)
-class AffineSymmetry:
-    center: Fraction
-    order: int  # 0 means every rotation about the center (single distinct root)
-    radical_support: tuple[int, ...]  # support of the centered monic radical
-
-
 def affine_symmetry(idx: IndexData,
-                    cs: CriticalStructure) -> Optional[AffineSymmetry]:
+                    cs: CriticalStructure) -> Optional[IndexData]:
     """Largest group of affine maps permuting the distinct roots of
     P = ``cs.polynomial``.
 
@@ -242,16 +231,15 @@ def affine_symmetry(idx: IndexData,
     ``index_data``. P has a repeated root exactly when 0 is a critical
     value, so otherwise the radical is P / lc(P) and ``idx`` already holds
     it; when it is, the radical is the product of the factors in
-    ``cs.root_parts``. Returns None when only the identity works.
+    ``cs.root_parts``. Returns the radical's index data, whose projective
+    symmetry order is the order (0 for one distinct root, which every
+    rotation about it fixes), or None when only the identity works.
     """
     rad_idx = idx
     if cs.has_zero_value:
         rad_idx = index_data(math.prod((f for f, _ in cs.root_parts),
                                        start=Poly.of(1)))
-    g = rad_idx.projective_symmetry_order
-    if g == 1:
-        return None
-    return AffineSymmetry(rad_idx.center, g, rad_idx.support)
+    return None if rad_idx.projective_symmetry_order == 1 else rad_idx
 
 
 # linear factors of the value-sharing curves
@@ -267,11 +255,10 @@ class LinearFactor:
 class LinearFactorScan:
     applicable: bool  # high-gap shape present, so the family below is complete
     gap: Optional[int]  # support gap below the top exponent, None for pure powers
-    mode: str
     factors: tuple[LinearFactor, ...]
 
 
-def linear_factor_scan(idx: IndexData, mode: str = "F") -> LinearFactorScan:
+def linear_factor_scan(idx: IndexData, mode: str) -> LinearFactorScan:
     """Lines X = bY inside a value-sharing curve, read off ``index_data(P)``.
 
     Against the centered form, such a line inside the shared curve means
@@ -298,7 +285,7 @@ def linear_factor_scan(idx: IndexData, mode: str = "F") -> LinearFactorScan:
         if r > 1 and idx.low_exp % r != 0:
             c_rat = Q(-1) if r == 2 else None
             factors.append(LinearFactor(r, idx.low_exp, c_rat))
-    return LinearFactorScan(applicable, idx.tail_gap, mode, tuple(factors))
+    return LinearFactorScan(applicable, idx.tail_gap, tuple(factors))
 
 
 # configurations with known genus-0/1 exceptions

@@ -177,7 +177,7 @@ class OrderExpr:
             self.const + times * other.const,
         )
 
-    def value(self, g: int = 1, e: int = 0) -> int:
+    def value(self, g: int, e: int) -> int:
         return self.g_coef * g + self.e_coef * e + self.const
 
     def provably_nonnegative(self) -> bool:
@@ -307,7 +307,7 @@ class FormVerdict:
     form: FormSpec
     regular: str  # "yes" | "unknown"
     chain: tuple[ChainEntry, ...]
-    independence_class: str | None = None
+    independence_class: str
 
     def as_dict(self) -> dict:
         return {
@@ -319,7 +319,7 @@ class FormVerdict:
 
 
 def check_form(config: Configuration, ledger: OrderLedger, spec: FormSpec,
-               independence_class: str | None = None) -> FormVerdict:
+               independence_class: str) -> FormVerdict:
     """Bound the order of the form at every modeled point.
 
     The verdict is "yes" only when each bound is nonnegative for all
@@ -353,16 +353,15 @@ def check_form(config: Configuration, ledger: OrderLedger, spec: FormSpec,
                        chain, independence_class)
 
 
-def replay_chain(verdict: FormVerdict, rng: random.Random,
-                 trials: int = 8) -> bool:
+def replay_chain(verdict: FormVerdict, rng: random.Random) -> bool:
     """Re-evaluate a regular form's inequality chain at random branch orders.
 
-    Draws admissible integers (g in 1..20, slack e in 0..19) and checks
-    that no entry of a certified chain ever goes negative.
+    Draws eight admissible pairs (g in 1..20, slack e in 0..19) and
+    checks that no entry of a certified chain ever goes negative.
     """
     if verdict.regular != "yes":
         return True
-    for _ in range(trials):
+    for _ in range(8):
         g = rng.randint(1, 20)
         e = rng.randint(0, 19)
         for entry in verdict.chain:
@@ -948,7 +947,7 @@ def _realize_pairing(sizes, classes, mat):
     return tuple(sorted(edges))
 
 
-def enumerate_configurations(max_n: int, kinds=("shared", "scaled")):
+def enumerate_configurations(max_n: int):
     """One representative configuration per combinatorial type, n <= max_n.
 
     Verdicts depend only on the multiplicity profile and the multiset of
@@ -960,10 +959,7 @@ def enumerate_configurations(max_n: int, kinds=("shared", "scaled")):
         for mults in _partitions(n - 1):
             if len(mults) < 2:
                 continue  # single critical point: handled upstream
-            if "shared" in kinds:
-                configs.append(Configuration("shared", mults))
-            if "scaled" not in kinds:
-                continue
+            configs.append(Configuration("shared", mults))
             values = sorted(set(mults), reverse=True)
             classes = [[i for i, m in enumerate(mults) if m == v] for v in values]
             sizes = [len(c) for c in classes]

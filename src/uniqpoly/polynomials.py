@@ -85,10 +85,6 @@ class Poly:
     def from_support(terms: dict[int, Fraction | int]) -> "Poly":
         return Poly(terms.get(e, 0) for e in range(max(terms, default=-1) + 1))
 
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
     # basic queries
 
     @cached_property

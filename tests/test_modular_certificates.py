@@ -10,9 +10,10 @@ what a reference gets by splitting P' and P first and asking the
 radical's image, as the structure was built before; the exact resultant
 Res(rad P', P) stays the oracle for a zero critical value.
 ``_constraint_gcd`` reads the witness equations off the coefficients of
-P at its center and takes their gcd in closed form; it is compared with
-the X-basis equations solved in sympy and with a fold of exact gcds, and
-the witness search with a reference that runs the older steps. These
+P at its center and takes their gcd in closed form, beta^m (beta^d - 1)
+returned as (m, d); it is compared with the X-basis equations solved in
+sympy and with a fold of exact gcds, and the witness search with a
+reference that runs the older steps. These
 tests also check that the fallback gives the same verdicts when no prime
 certifies anything.
 """
@@ -66,6 +67,16 @@ def _from_sympy(sp) -> Poly:
     return Poly.of(*(Q(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
 
 
+def _closed_form(g: Poly, n: int) -> tuple[int, int]:
+    """(m, d) with g = beta^m (beta^d - 1), and (n, 0) for g = 0, as
+    ``_constraint_gcd`` returns them for P of degree n."""
+    if g.is_zero:
+        return n, 0
+    m = g.support()[0]
+    assert g == Poly.from_support({m: -1, g.degree: 1}), g
+    return m, g.degree - m
+
+
 def _squarefree_by_sympy(sep: Poly) -> bool:
     sp = _to_sympy(sep)
     if sep.degree > 48:
@@ -78,7 +89,7 @@ def _squarefree_by_sympy(sep: Poly) -> bool:
 
 def _substitute(q: Poly, inner: Poly) -> Poly:
     """q(inner(X)), by Horner's rule over the polynomial ring."""
-    out = Poly.zero()
+    out = Poly()
     for c in reversed(q.coeffs):
         out = out * inner + c
     return out
@@ -151,7 +162,7 @@ def test_constraint_gcd_matches_sympy():
             g = sympy.gcd(g, e)
         if not g.is_zero:
             want = _from_sympy(g.monic())
-        assert _constraint_gcd(p) == want, p
+        assert _constraint_gcd(p) == _closed_form(want, p.degree), p
 
 
 def _results(p: Poly) -> tuple:
@@ -206,21 +217,21 @@ def test_squarefree_mod():
 
 def test_constraint_gcd_stops_at_beta_minus_one(monkeypatch):
     calls = []
-    exact = classify_mod.poly_gcd
+    replay = classify_mod.verify_witness
 
-    def counted(f, g):
+    def counted(p, w):
         calls.append(1)
-        return exact(f, g)
+        return replay(p, w)
 
-    monkeypatch.setattr(classify_mod, "poly_gcd", counted)
+    monkeypatch.setattr(classify_mod, "verify_witness", counted)
     rng = random.Random(20)
     for _ in range(3):
         p = _dense(rng, 20)
-        assert _constraint_gcd(p) == X - 1
+        assert _constraint_gcd(p) == (0, 1)  # beta - 1
         # beta - 1 admits only the identity, in either mode
         assert classify_mod.witness_search(p, "any_c") is None
         assert classify_mod.witness_search(p, "c_equals_1") is None
-    assert calls == []  # the closed form and the early exit take no gcd
+    assert calls == []  # both searches stop before building a witness
 
 
 def _fold_constraint_gcd(p: Poly) -> Poly:
@@ -228,7 +239,7 @@ def _fold_constraint_gcd(p: Poly) -> Poly:
     the j with q_j != 0, q_j read off ``taylor_shift``."""
     n = p.degree
     q = p.taylor_shift(-p.coeff(n - 1) / (n * p.lc))
-    g = Poly.zero()
+    g = Poly()
     for j in range(n - 1):
         if q.coeff(j):
             g = polynomials.poly_gcd(g, Poly.from_support({j: 1, n: -1}))
@@ -296,7 +307,8 @@ def _search_inputs() -> list[Poly]:
 
 def test_constraint_gcd_matches_the_fold():
     for p in _search_inputs():
-        assert _constraint_gcd(p) == _fold_constraint_gcd(p), p
+        assert _constraint_gcd(p) == _closed_form(_fold_constraint_gcd(p),
+                                                  p.degree), p
 
 
 # (P, its constraint beta^m (beta^d - 1) as (m, d), the any_c and the
@@ -331,7 +343,7 @@ def test_witness_search_matches_the_reference():
                    * Q(rng.choice([-1, 1]) * rng.randint(1, 9),
                        rng.randint(1, 9)))
         for q in (p, shifted):  # a rational center and content
-            assert _constraint_gcd(q) == Poly.from_support({m: -1, m + d: 1})
+            assert _constraint_gcd(q) == (m, d)
             cases.append((q, want))
     for p, want in cases:
         for mode in ("any_c", "c_equals_1"):

@@ -32,7 +32,7 @@ from uniqpoly.report import jsonable
 def test_basic_forms():
     assert parse_poly("X^4+X+1") == X**4 + X + 1
     assert parse_poly(" X ^ 2 - 3 ") == X**2 - 3
-    assert parse_poly("0") == Poly.zero()
+    assert parse_poly("0") == Poly()
     assert parse_poly("-7") == Poly.of(Q(-7))
     assert parse_poly("X^٣") == X**3  # any decimal digit int() reads
 
@@ -158,7 +158,7 @@ def test_format_round_trip_pins():
         X**4 + X + 1,
         -(X**2) - X,
         Q(3, 4) * X**2 - Q(1, 2),
-        Poly.zero(),
+        Poly(),
         Poly.of(Q(5)),
         2 * X**7 - X**3,
     ]
@@ -166,7 +166,7 @@ def test_format_round_trip_pins():
         assert parse_poly(format_poly(p)) == p
     assert format_poly(X**4 + X + 1) == "X^4 + X + 1"
     assert format_poly(-(X**2) - X) == "-X^2 - X"
-    assert format_poly(Poly.zero()) == "0"
+    assert format_poly(Poly()) == "0"
 
 
 
@@ -703,13 +703,12 @@ def test_selftest_fast(capsys):
     assert all(c["ok"] for c in rep["criteria"])
 
 
-def test_selftest_without_numpy_fails_one_criterion(capsys, monkeypatch):
-    # numpy comes only with the test extra; a None entry makes it unimportable
+def test_selftest_runs_without_numpy(capsys, monkeypatch):
+    # the float oracle is pure Python; a None entry makes numpy unimportable
     monkeypatch.setitem(sys.modules, "numpy", None)
     code, out, _ = run_cli(capsys, "selftest", "--fast")
     rep = json.loads(out)
-    assert code == 4
-    assert rep["all_ok"] is False
-    assert [c for c in rep["criteria"] if not c["ok"]] == [{
-        "name": "separation-float-agreement", "ok": False, "cases": 0,
-        "detail": "numpy is not installed"}]
+    assert code == 0
+    assert rep["all_ok"] is True
+    assert len(rep["criteria"]) == 9
+    assert all(c["ok"] for c in rep["criteria"])

@@ -260,15 +260,15 @@ def test_rational_sum_outcomes():
     assert _agree("(1/3*2^4095*X + 1/3)*3")[1] == 2**4095 * X + 1
     assert _agree("(X + 1/2)^2*1/2^4000 + 1/3^2500*X^3")[1].coeff(3) == \
         Q(1, 3**2500)
-    assert _agree("(X + 1/2)^3 - (X + 1/2)^3") == ("ok", Poly.zero())
+    assert _agree("(X + 1/2)^3 - (X + 1/2)^3") == ("ok", Poly())
     assert _agree("(1/2*X + 1/2)^64")[1] == (X + 1)**64 * Q(1, 2**64)
 
 
 def test_edge_case_outcomes():
-    assert _agree("X - X") == ("ok", Poly.zero())
+    assert _agree("X - X") == ("ok", Poly())
     assert _agree("0*X^100") == (
         "DegreeCapError", "degree 100 exceeds the cap 64", None)
-    assert _agree("0*X^100", None) == ("ok", Poly.zero())
+    assert _agree("0*X^100", None) == ("ok", Poly())
     assert _agree("0^0") == _agree("(X-X)^0") == ("ok", Poly.of(1))
     assert _agree("2^4095")[1].coeff(0) == 2**4095
     too_large = f"coefficient exceeds {MAX_COEFF_BITS} bits at offset"

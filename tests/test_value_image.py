@@ -37,7 +37,7 @@ def _dense(draw, degree: int) -> Poly:
 
 def _substitute(q: Poly, inner: Poly) -> Poly:
     """q(inner(X)), by Horner's rule over the polynomial ring."""
-    out = Poly.zero()
+    out = Poly()
     for c in reversed(q.coeffs):
         out = out * inner + c
     return out
