@@ -366,7 +366,7 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
         "separated": cs.is_separated,
     }, "input profiled")
 
-    if cs.count == 1:
+    if cs.radical.degree == 1:
         b.note("single-critical-point", {"profile": list(cs.profile)},
                "a pure-power translate, nothing is unique")
 
@@ -432,7 +432,7 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
 
 def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     n = p.degree
-    l = cs.count
+    l = cs.radical.degree
     profile = cs.profile
     mn = profile[-1] if profile else 0
     flags = exceptional_flags(cs)
@@ -605,7 +605,7 @@ def corollary_shape(p: Poly) -> Optional[tuple[Fraction, int, int, Fraction, Fra
 
 # the audit searches both modes of one P; they share a single call
 @lru_cache(maxsize=1)
-def _constraint_gcd(p: Poly) -> tuple[int, int]:
+def _constraint_gcd(p: Poly) -> int:
     """gcd of the coefficient equations for P(beta X + gamma) = beta^n P(X).
 
     The top two coefficients force c = beta^n and gamma = s (1 - beta)
@@ -617,9 +617,9 @@ def _constraint_gcd(p: Poly) -> tuple[int, int]:
     whose q_j is not 0. As beta^j - beta^n = -beta^j (beta^(n-j) - 1) and
     gcd(beta^a - 1, beta^b - 1) = beta^gcd(a, b) - 1, that gcd is
     beta^m (beta^d - 1), with m the least such j and d the gcd of their
-    n - j, and 0 when every q_j is 0. Returns (m, d), which is (n, 0)
-    for the gcd 0. Every E_j vanishes at beta = 1, the identity map, so
-    the scan stops once the gcd is beta - 1 (m = 0, d = 1). The q_j come
+    n - j, and 0 when every q_j is 0. Only d is returned, 0 for the gcd
+    0, since beta^m admits no map. d only falls as the scan goes on, so
+    it stops at d = 1, which admits only the identity map. The q_j come
     from P's coefficients here, not from ``taylor_shift``, so the audit
     stays independent of the code it checks. Only whether q_j vanishes
     matters, so with c = ``p.prim`` and s = u/v in lowest terms the sum
@@ -632,22 +632,22 @@ def _constraint_gcd(p: Poly) -> tuple[int, int]:
     c = p.prim
     t = math.gcd(c[n - 1], n * c[n])
     u, v = -c[n - 1] // t, n * c[n] // t
-    m, d = n, 0
+    d = 0
     for j in range(n - 1):
         if sum(c[k] * math.comb(k, j) * u ** (k - j) * v ** (n - k)
                for k in range(j, n + 1) if c[k]):
-            m, d = min(m, j), math.gcd(d, n - j)
-            if m == 0 and d == 1:
+            d = math.gcd(d, n - j)
+            if d == 1:
                 break
-    return m, d
+    return d
 
 
 def witness_search(p: Poly, mode: str) -> Optional[Witness]:
     """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
     Exact coefficient comparison reduces the problem to the constraint
-    gcd beta^m (beta^d - 1) of ``_constraint_gcd``, so the answer is read
-    off d and n in closed form. The identity map never counts and
+    gcd beta^m (beta^d - 1), whose d ``_constraint_gcd`` returns, so the
+    answer is read off d and n in closed form. The identity map never counts and
     beta = 0 is no map, so the solutions are the roots of beta^d - 1
     other than 1, and mode "c_equals_1", the maps with c = beta^n = 1
     that break plain uniqueness, cuts d to gcd(d, n). With d = 1 nothing
@@ -660,7 +660,7 @@ def witness_search(p: Poly, mode: str) -> Optional[Witness]:
     """
     if mode not in ("any_c", "c_equals_1"):
         raise ValueError("mode must be 'any_c' or 'c_equals_1'")
-    _, d = _constraint_gcd(p)
+    d = _constraint_gcd(p)
     n = p.degree
     power = d == 0
     if mode == "c_equals_1":

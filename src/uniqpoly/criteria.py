@@ -74,9 +74,7 @@ def ext_gcd_combo(values: Sequence[int]) -> tuple[int, dict[int, int]]:
     """gcd of the values plus coefficients u with sum(u[v] * v) = gcd."""
     g = 0
     combo: dict[int, int] = {}
-    for v in values:
-        if v in combo:
-            continue
+    for v in values:  # distinct, as every caller passes a support
         g, a, b = _ext_gcd(g, v)
         combo = {k: c * a for k, c in combo.items()}
         combo[v] = b
@@ -136,7 +134,6 @@ class CriticalStructure:
     derivative_parts: tuple[tuple[Poly, int], ...]  # squarefree splitting of P'
     root_parts: tuple[tuple[Poly, int], ...]  # squarefree splitting of P
     radical: Poly  # monic product of distinct critical-point factors
-    count: int  # number of distinct critical points (degree of radical)
     profile: tuple[int, ...]  # critical-point multiplicities in P', descending
     is_separated: bool  # all critical values distinct
     # some critical value equals 0; equivalently, P has a repeated root
@@ -205,7 +202,6 @@ def critical_structure(p: Poly) -> CriticalStructure:
         derivative_parts=parts,
         root_parts=root_parts,
         radical=rad,
-        count=rad.degree,
         profile=tuple(profile),
         is_separated=separated,
         has_zero_value=any(m > 1 for _, m in root_parts),

@@ -291,8 +291,6 @@ def _split_possible(d1: int, d2: int, census: Sequence[CensusPoint]) -> bool:
 
     # depth-first over assignments; track achieved product sums
     def walk(idx: int, acc: int, slack_seen: bool) -> bool:
-        if acc > target:
-            return False
         if idx == len(ranges):
             return acc == target or (acc < target and slack_seen)
         pt, lo, hi = ranges[idx]

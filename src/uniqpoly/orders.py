@@ -357,10 +357,9 @@ def replay_chain(verdict: FormVerdict, rng: random.Random) -> bool:
     """Re-evaluate a regular form's inequality chain at random branch orders.
 
     Draws eight admissible pairs (g in 1..20, slack e in 0..19) and
-    checks that no entry of a certified chain ever goes negative.
+    checks that no entry of a certified chain ever goes negative. Every
+    form a ``HyperbolicityVerdict`` holds is regular.
     """
-    if verdict.regular != "yes":
-        return True
     for _ in range(8):
         g = rng.randint(1, 20)
         e = rng.randint(0, 19)

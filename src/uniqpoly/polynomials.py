@@ -108,9 +108,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.content * self.prim[-1]
 
-    def __bool__(self) -> bool:
-        return bool(self.prim)
-
     def coeff(self, e: int) -> Fraction:
         return self.coeffs[e] if 0 <= e < len(self.prim) else Q(0)
 
@@ -144,9 +141,6 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -221,8 +215,6 @@ class Poly:
         polynomial sum prim_i u^i v^(n-i) X^i."""
         c = Q(c)
         n = self.degree
-        if n < 1:
-            return self
         u, v = c.numerator, c.denominator
         return _poly([x * u ** i * v ** (n - i)
                       for i, x in enumerate(self.prim)], self.content / v ** n)
@@ -296,19 +288,16 @@ def _pseudo_rem(A: Sequence[int], B: Sequence[int]) -> list[int]:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over Q, primitive PRS over the primitive vectors."""
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
+    """Monic gcd over Q of p and q, not both zero, by the primitive PRS
+    over the primitive vectors."""
     g = _int_gcd(p.prim, q.prim)
     return _poly(g, Q(1, g[-1]), primitive=True)
 
 
 def _int_gcd(A: Sequence[int], B: Sequence[int]) -> list[int]:
-    """Primitive gcd of nonzero integer polynomials, leading term positive."""
-    if _ideg(A) < _ideg(B):
-        A, B = B, A
+    """Primitive gcd of integer polynomials, not both zero, leading term
+    positive. When deg A < deg B the first remainder is A itself, so the
+    first step swaps the operands."""
     while B:
         R = _pseudo_rem(A, B)
         A = B
@@ -516,11 +505,9 @@ def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
     taken. Otherwise Yun's algorithm splits p over Q. The product of
     factor**mult over the result is p.monic().
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree splitting")
+    if p.degree < 1:
+        raise ValueError("squarefree splitting needs degree at least 1")
     p = p.monic()
-    if p.degree == 0:
-        return []
     if _squarefree_mod(p.prim, GCD_PRIMES[0]):
         return [(p, 1)]
     out: list[tuple[Poly, int]] = []

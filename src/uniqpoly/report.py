@@ -137,8 +137,6 @@ def _render(node: Any, depth: int, label: Optional[str], lines: list[str]) -> No
             else:
                 lines.append(f"{pad}  - {item}")
     else:
+        # a scalar always has a label: list items print on their own
         text = "null" if node is None else node
-        if label is None:
-            lines.append(f"{pad}{text}")
-        else:
-            lines.append(f"{pad}{label}: {text}")
+        lines.append(f"{pad}{label}: {text}")

@@ -47,9 +47,6 @@ class TriPoly:
         return (isinstance(other, TriPoly) and self.content == other.content
                 and self.prim == other.prim)
 
-    def __bool__(self) -> bool:
-        return bool(self.prim)
-
     def __add__(self, other: "TriPoly") -> "TriPoly":
         if not self.prim:
             return other

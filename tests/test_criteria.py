@@ -109,20 +109,20 @@ def test_critical_structure_pins():
     cs = critical_structure(X**4 - 4 * X)
     assert cs.derivative == 4 * X**3 - 4
     assert cs.radical == X**3 - 1
-    assert cs.count == 3
+    assert cs.radical.degree == 3
     assert cs.profile == (1, 1, 1)
     assert cs.separation_poly == X**3 + 27
     assert cs.is_separated and not cs.has_zero_value
 
     cs = critical_structure(X**5 + X**3 + 1)
-    assert cs.count == 3
+    assert cs.radical.degree == 3
     assert cs.profile == (2, 1, 1)
 
     # double critical point at 0 and 2, equal-looking multiplicities
     p = 6 * X**5 - 15 * X**4 + 10 * X**3 + 1
     cs = critical_structure(p)
     assert cs.profile == (2, 2)
-    assert cs.count == 2
+    assert cs.radical.degree == 2
     assert cs.is_separated
 
     # separation failure: even polynomial of degree 6

@@ -10,8 +10,8 @@ what a reference gets by splitting P' and P first and asking the
 radical's image, as the structure was built before; the exact resultant
 Res(rad P', P) stays the oracle for a zero critical value.
 ``_constraint_gcd`` reads the witness equations off the coefficients of
-P at its center and takes their gcd in closed form, beta^m (beta^d - 1)
-returned as (m, d); it is compared with the X-basis equations solved in
+P at its center and takes their gcd in closed form, beta^m (beta^d - 1),
+of which it returns d; it is compared with the X-basis equations solved in
 sympy and with a fold of exact gcds, and the witness search with a
 reference that runs the older steps. These
 tests also check that the fallback gives the same verdicts when no prime
@@ -67,14 +67,14 @@ def _from_sympy(sp) -> Poly:
     return Poly.of(*(Q(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())))
 
 
-def _closed_form(g: Poly, n: int) -> tuple[int, int]:
-    """(m, d) with g = beta^m (beta^d - 1), and (n, 0) for g = 0, as
-    ``_constraint_gcd`` returns them for P of degree n."""
+def _closed_form(g: Poly) -> int:
+    """d with g = beta^m (beta^d - 1), and 0 for g = 0, as
+    ``_constraint_gcd`` returns it."""
     if g.is_zero:
-        return n, 0
+        return 0
     m = g.support()[0]
     assert g == Poly.from_support({m: -1, g.degree: 1}), g
-    return m, g.degree - m
+    return g.degree - m
 
 
 def _squarefree_by_sympy(sep: Poly) -> bool:
@@ -162,7 +162,7 @@ def test_constraint_gcd_matches_sympy():
             g = sympy.gcd(g, e)
         if not g.is_zero:
             want = _from_sympy(g.monic())
-        assert _constraint_gcd(p) == _closed_form(want, p.degree), p
+        assert _constraint_gcd(p) == _closed_form(want), p
 
 
 def _results(p: Poly) -> tuple:
@@ -227,8 +227,8 @@ def test_constraint_gcd_stops_at_beta_minus_one(monkeypatch):
     rng = random.Random(20)
     for _ in range(3):
         p = _dense(rng, 20)
-        assert _constraint_gcd(p) == (0, 1)  # beta - 1
-        # beta - 1 admits only the identity, in either mode
+        assert _constraint_gcd(p) == 1  # beta^m (beta - 1)
+        # beta^m (beta - 1) admits only the identity, in either mode
         assert classify_mod.witness_search(p, "any_c") is None
         assert classify_mod.witness_search(p, "c_equals_1") is None
     assert calls == []  # both searches stop before building a witness
@@ -307,43 +307,41 @@ def _search_inputs() -> list[Poly]:
 
 def test_constraint_gcd_matches_the_fold():
     for p in _search_inputs():
-        assert _constraint_gcd(p) == _closed_form(_fold_constraint_gcd(p),
-                                                  p.degree), p
+        assert _constraint_gcd(p) == _closed_form(_fold_constraint_gcd(p)), p
 
 
-# (P, its constraint beta^m (beta^d - 1) as (m, d), the any_c and the
+# (P, the d of its constraint beta^m (beta^d - 1), the any_c and the
 # c_equals_1 answers as (order, beta)); c = 1 cuts d to gcd(d, n)
 CLOSED_FORM_CASES = [
-    (X**18 + X**9 + 1, (0, 9), (3, None), (3, None)),
-    (X**15 + 2, (0, 15), (3, None), (3, None)),
-    (X**16 + X, (1, 15), (3, None), None),
-    (X**25 + 3, (0, 25), (5, None), (5, None)),
-    (X**27 + X**2, (2, 25), (5, None), None),
-    (X**35 + X**10, (10, 25), (5, None), (5, None)),
-    (X**49 + 1, (0, 49), (7, None), (7, None)),
-    (X**50 + X, (1, 49), (7, None), None),
-    (X**8 + X**2 + 1, (0, 2), (2, Q(-1)), (2, Q(-1))),
-    (X**7 + X**3, (3, 4), (2, Q(-1)), None),
-    (X**15 + X**5, (5, 10), (2, Q(-1)), (5, None)),
-    (X**27 + X**9, (9, 18), (2, Q(-1)), (3, None)),
-    (X**15 + X**6 + 1, (0, 3), (3, None), (3, None)),
-    (X**21 + X**12, (12, 9), (3, None), (3, None)),
-    (X**10 + X**3, (3, 7), (7, None), None),
-    (X**9 + X**4 + X**2, (2, 1), None, None),
+    (X**18 + X**9 + 1, 9, (3, None), (3, None)),
+    (X**15 + 2, 15, (3, None), (3, None)),
+    (X**16 + X, 15, (3, None), None),
+    (X**25 + 3, 25, (5, None), (5, None)),
+    (X**27 + X**2, 25, (5, None), None),
+    (X**35 + X**10, 25, (5, None), (5, None)),
+    (X**49 + 1, 49, (7, None), (7, None)),
+    (X**50 + X, 49, (7, None), None),
+    (X**8 + X**2 + 1, 2, (2, Q(-1)), (2, Q(-1))),
+    (X**7 + X**3, 4, (2, Q(-1)), None),
+    (X**15 + X**5, 10, (2, Q(-1)), (5, None)),
+    (X**27 + X**9, 18, (2, Q(-1)), (3, None)),
+    (X**15 + X**6 + 1, 3, (3, None), (3, None)),
+    (X**21 + X**12, 9, (3, None), (3, None)),
+    (X**10 + X**3, 7, (7, None), None),
+    (X**9 + X**4 + X**2, 1, None, None),
 ]
 
 
 def test_witness_search_matches_the_reference():
     rng = random.Random(29)
     cases = [(p, None) for p in _search_inputs()]
-    for p, md, any_c, c_one in CLOSED_FORM_CASES:
-        m, d = md
+    for p, d, any_c, c_one in CLOSED_FORM_CASES:
         want = {"any_c": any_c, "c_equals_1": c_one}
         shifted = (p.taylor_shift(Q(rng.randint(-9, 9), rng.randint(2, 9)))
                    * Q(rng.choice([-1, 1]) * rng.randint(1, 9),
                        rng.randint(1, 9)))
         for q in (p, shifted):  # a rational center and content
-            assert _constraint_gcd(q) == (m, d)
+            assert _constraint_gcd(q) == d
             cases.append((q, want))
     for p, want in cases:
         for mode in ("any_c", "c_equals_1"):
@@ -387,7 +385,8 @@ def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
     want = sympy.resultant(_to_sympy(cs.radical, x).as_expr(),
                            T - _to_sympy(p, x).as_expr(), x)
     assert cs.separation_poly == _from_sympy(sympy.Poly(want, T, domain="QQ"))
-    assert calls == {"resultant": cs.count + 1, "lagrange_interpolate": 1}
+    assert calls == {"resultant": cs.radical.degree + 1,
+                     "lagrange_interpolate": 1}
 
 
 def test_separated_input_takes_no_exact_step(monkeypatch):
@@ -430,7 +429,7 @@ def test_zero_value_takes_no_exact_resultant(monkeypatch):
         # a non-separated P builds its exact value polynomial from l + 1
         # resultants; nothing else takes one
         assert calls["resultant"] == (0 if cs.is_separated
-                                      else cs.count + 1), p
+                                      else cs.radical.degree + 1), p
 
 
 def test_zero_value_matches_the_exact_resultant():
@@ -466,7 +465,7 @@ def _reference_structure(p: Poly) -> tuple:
     if not separated:
         sep = criteria._separation_poly(rad, p)
         separated = polynomials.poly_gcd(sep, sep.derivative()).degree == 0
-    return (p, dp, parts, root_parts, rad, rad.degree, tuple(profile),
+    return (p, dp, parts, root_parts, rad, tuple(profile),
             separated, any(m > 1 for _, m in root_parts))
 
 
@@ -502,7 +501,7 @@ def _structure_inputs() -> list[Poly]:
 def test_critical_structure_matches_the_split_reference():
     inputs = _structure_inputs()
     repeated = [p for p in inputs
-                if critical_structure(p).count < p.degree - 1]
+                if critical_structure(p).radical.degree < p.degree - 1]
     assert len(repeated) >= 20  # the image of P' certifies nothing there
     for p in inputs:
         assert _fields(critical_structure(p)) == _reference_structure(p), p
