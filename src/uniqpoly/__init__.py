@@ -21,7 +21,6 @@ from .classify import (
 )
 from .criteria import (
     critical_structure,
-    exceptional_flags,
     index_data,
     linear_factor_scan,
     normalize,
@@ -54,7 +53,6 @@ __all__ = [
     "corollary_shape",
     "critical_structure",
     "enumerate_configurations",
-    "exceptional_flags",
     "format_poly",
     "genus_ordinary",
     "hyperbolicity_verdict",

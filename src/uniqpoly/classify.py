@@ -23,9 +23,12 @@ The decision rules, in order:
    (at least 4), strong uniqueness for rational (meromorphic) functions
    holds exactly when both support gcds are 1; the converses are the
    rotation witnesses, which are complete in this shape.
-3. separated critical values: the verdicts follow the critical-point
-   profile, with rigidity of the zero set gating only the strong
-   verdicts and four genus-0/1 profiles flipping specific slots to no.
+3. separated critical values: the shared-curve grant of the order
+   calculus (``orders.statement_grants``) decides the plain slots,
+   algebraic for rational and brody for meromorphic functions, and a
+   slot it refuses gets a genus-0 or genus-1 curve certificate;
+   rigidity of the zero set and the value-orbit quartic gate the strong
+   verdicts.
 4. implication closure: strong implies plain, meromorphic implies
    rational, propagated with the justifying witnesses.
 
@@ -44,10 +47,10 @@ from typing import Callable, Optional
 from .criteria import (
     affine_symmetry,
     critical_structure,
-    exceptional_flags,
     index_data,
     linear_factor_scan,
     normalize,
+    quartic_value_orbit,
 )
 from .curves import (
     Configuration,
@@ -55,6 +58,7 @@ from .curves import (
     genus_ordinary,
     singular_census,
 )
+from .orders import statement_grants
 from .parser import DEFAULT_DEGREE_CAP, DegreeCapError
 from .polynomials import (
     Poly,
@@ -431,11 +435,8 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
 
 
 def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
-    n = p.degree
     l = cs.radical.degree
     profile = cs.profile
-    mn = profile[-1] if profile else 0
-    flags = exceptional_flags(cs)
     rad_idx = affine_symmetry(idx, cs)
     rigid = rad_idx is None
     no_linear = (
@@ -458,26 +459,28 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
     if l == 1:
         return  # the rotation rule has already closed every slot
 
-    cond_rational = l >= 3 or (l == 2 and mn >= 2)
-
-    # plain uniqueness for rational functions needs only the profile
-    if cond_rational:
+    # the order calculus states the separated theorem: the shared curve's
+    # algebraic grant decides plain uniqueness for rational functions and
+    # its brody grant that for meromorphic ones
+    shared = Configuration("shared", profile)
+    rational, meromorphic = statement_grants(shared)
+    inputs = {"l": l, "min_mult": profile[-1]}
+    if rational:
         b.set("up_rational", "yes", "separated-profile-uniqueness-rational",
-              {"l": l, "min_mult": mn})
+              inputs)
     else:
         b.set("up_rational", "no", "separated-profile-uniqueness-rational",
-              {"l": l, "min_mult": mn},
-              lambda: _genus_exception("genus-zero-shared-curve",
-                                       Configuration("shared", profile),
+              inputs,
+              lambda: _genus_exception("genus-zero-shared-curve", shared,
                                        no_linear))
 
     # strong uniqueness for rational functions adds rigidity and the
     # value-orbit exception on the smooth quartic profile
-    if cond_rational:
+    if rational:
         if not rigid:
             b.set("sup_rational", "no", "separated-profile-strong-rational",
                   {"rigid": False}, lambda: _rigidity_witness(p, rad_idx))
-        elif flags.quartic_w_case:
+        elif quartic_value_orbit(cs):
             def orbit_witness() -> Witness:
                 config = Configuration("scaled", (1, 1, 1),
                                        ((0, 1), (1, 2), (2, 0)))
@@ -493,36 +496,28 @@ def _separated_route(p: Poly, b: _Builder, idx, cs) -> None:
             b.set("sup_rational", "yes", "separated-profile-strong-rational",
                   {"rigid": True, "value_orbit": False})
 
-    # meromorphic uniqueness: profile conditions with two genus-one
-    # exceptions; rigidity only gates the strong clause, where the
-    # statement restates it
-    quartic_exc = flags.quartic_structural
-    quintic_exc = flags.quintic_case
-    cond_mero = (l >= 3 and not quartic_exc) or (
-        l == 2 and mn >= 2 and not quintic_exc)
-    if cond_mero:
+    # meromorphic uniqueness: rigidity only gates the strong clause, where
+    # the statement restates it
+    if meromorphic:
         b.set("up_meromorphic", "yes",
-              "separated-profile-uniqueness-meromorphic",
-              {"l": l, "min_mult": mn})
+              "separated-profile-uniqueness-meromorphic", inputs)
         if rigid:
             b.set("sup_meromorphic", "yes",
                   "separated-profile-strong-meromorphic",
                   {"rigid": True, "rigidity_restated_in_strong_clause": True})
-    elif quartic_exc:
+    elif rational:
+        # granted algebraic but not brody: one of the two genus-one shared
+        # curves, the smooth quartic's with three critical points or the
+        # two-node quintic's with two
+        exception, case = (
+            ("smooth quartic profile", "genus-one-smooth-shared-curve")
+            if l == 3 else
+            ("double-pair quintic profile", "genus-one-two-node-shared-curve"))
         b.set("up_meromorphic", "no",
               "separated-profile-uniqueness-meromorphic",
-              {"exception": "smooth quartic profile"},
-              lambda: _genus_exception("genus-one-smooth-shared-curve",
-                                       Configuration("shared", (1, 1, 1)),
-                                       no_linear))
-    elif quintic_exc:
-        b.set("up_meromorphic", "no",
-              "separated-profile-uniqueness-meromorphic",
-              {"exception": "double-pair quintic profile"},
-              lambda: _genus_exception("genus-one-two-node-shared-curve",
-                                       Configuration("shared", (2, 2)),
-                                       no_linear))
-    # the remaining case, l == 2 with min 1, propagates from up_rational
+              {"exception": exception},
+              lambda: _genus_exception(case, shared, no_linear))
+    # with no grant, up_meromorphic propagates from up_rational
 
 
 def _rigidity_witness(p: Poly, rad_idx) -> Witness:

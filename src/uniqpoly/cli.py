@@ -432,7 +432,10 @@ def _run_one_guarded(
 
 def _batch(runner, args, command: str) -> int:
     try:
-        with open(args.batch, "r", encoding="utf-8") as fh:
+        # bytes that are not UTF-8 decode as Python decodes argv, so such
+        # a line gets the parse error it would get as an argument
+        with open(args.batch, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             texts = [t for t in (line.strip() for line in fh) if t]
     except OSError as exc:
         sys.stderr.write(f"uniqpoly: cannot read batch file: {exc}\n")

@@ -42,10 +42,10 @@ Q = Fraction
 # ``radical`` is re-exported: perfbench/spans.py wraps criteria.radical
 # by name, and the traced run fails on a name that is missing
 __all__ = [
-    "CriticalStructure", "ExceptionalFlags", "IndexData",
-    "LinearFactor", "LinearFactorScan", "NormalForm", "affine_symmetry",
-    "critical_structure", "exceptional_flags", "ext_gcd_combo",
-    "index_data", "linear_factor_scan", "normalize", "radical",
+    "CriticalStructure", "IndexData", "LinearFactor", "LinearFactorScan",
+    "NormalForm", "affine_symmetry", "critical_structure", "ext_gcd_combo",
+    "index_data", "linear_factor_scan", "normalize", "quartic_value_orbit",
+    "radical",
 ]
 
 
@@ -284,38 +284,23 @@ def linear_factor_scan(idx: IndexData, mode: str) -> LinearFactorScan:
     return LinearFactorScan(applicable, idx.tail_gap, tuple(factors))
 
 
-# configurations with known genus-0/1 exceptions
+# the value-orbit quartic
 
-@dataclass(frozen=True)
-class ExceptionalFlags:
-    quartic_w_case: bool  # degree 4, simple critical points, w-orbit values
-    quintic_case: bool  # degree 5, profile (2, 2)
-    quartic_structural: bool  # degree 4, profile (1, 1, 1)
+def quartic_value_orbit(cs: CriticalStructure) -> bool:
+    """Whether P is a quartic whose three simple critical values form an
+    orbit of multiplication by a primitive cube root of unity.
 
-
-def exceptional_flags(cs: CriticalStructure) -> ExceptionalFlags:
-    """Flag the critical structures carrying the exceptional verdicts.
-
-    The w-orbit condition on the three critical values of a quartic (the
-    cyclic ratios all equal to a primitive cube root of unity) says
-    exactly that the values are the roots of T^3 - d with d != 0: both
-    elementary symmetric functions e1 and e2 vanish while e3 does not.
-    With s_k the power sums of the values, e1 = s1 and
+    That orbit condition (the cyclic ratios all equal to a primitive cube
+    root of unity) says exactly that the values are the roots of T^3 - d
+    with d != 0: both elementary symmetric functions e1 and e2 vanish
+    while e3 does not. With s_k the power sums of the values, e1 = s1 and
     e2 = (s1^2 - s2)/2, so e1 = e2 = 0 exactly when s1 = s2 = 0, and
     e3 != 0 is ``not has_zero_value``. s1 and s2 are traces, and
     ``_value_traces`` tests them for zero on integers, so no value
     polynomial is built.
     """
-    n = cs.derivative.degree + 1
-    structural = n == 4 and cs.profile == (1, 1, 1)
-    w = False
-    if structural and not cs.has_zero_value:
-        w = _value_traces(cs.radical, cs.polynomial) == (0, 0)
-    return ExceptionalFlags(
-        quartic_w_case=w,
-        quintic_case=n == 5 and cs.profile == (2, 2),
-        quartic_structural=structural,
-    )
+    return (cs.profile == (1, 1, 1) and not cs.has_zero_value
+            and _value_traces(cs.radical, cs.polynomial) == (0, 0))
 
 
 def _value_traces(rad: Poly, p: Poly) -> tuple[int, int]:

@@ -445,8 +445,8 @@ def _shared_verdict(config: Configuration) -> HyperbolicityVerdict:
     l = len(m)
     n = config.n
     order = _sorted_indices(m)
-    ms = [m[i] for i in order]
-    if l < 2 or (l == 2 and min(ms) < 2):
+    alg, brody = statement_grants(config)
+    if not alg:
         reason = "single-critical-point" if l < 2 else "thin-profile"
         return HyperbolicityVerdict("none", None, (), None,
                                     (ASSUME_SEPARATED,), reason)
@@ -465,15 +465,18 @@ def _shared_verdict(config: Configuration) -> HyperbolicityVerdict:
 
     w0 = check_form(config, ledger, omega(None), "pencil-basis-0")
     # the balanced form is regular exactly when every co-multiplicity
-    # sum(m_j, j != i) is at least 2, which is the l/m condition above
+    # sum(m_j, j != i) is at least 2, which is the algebraic grant
     if w0.regular != "yes":
         raise RouteError(f"balanced diagonal form failed on {config}")
+    if not brody:
+        return HyperbolicityVerdict("algebraic", "balanced-diagonal", (w0,),
+                                    None, (ASSUME_SEPARATED,))
     i1, i2 = order[0], order[1]
-    brody_main = l >= 4 or (l == 3 and ms[0] >= 2 and ms[1] + ms[2] >= 3) \
-        or (l == 2 and ms[1] >= 3)
-    brody_fallback = (l == 3 and ms[0] >= 2 and ms[1] + ms[2] == 2) \
-        or (l == 2 and ms[1] == 2 and ms[0] >= 3)
-    if brody_main:
+    # omega(i) is regular exactly when every co-multiplicity but the i-th
+    # is at least 3, so the split pair needs the deepest point's, that of
+    # i1, at least 3; the granted profiles short of it, (m, 1, 1) and
+    # (m, 2), take the fallback
+    if sum(m) - m[i1] >= 3:
         # a combination a*x_i1 + b*x_i2 is a line of the pencil through
         # the vertical direction (or Z itself); no such line ever divides
         # the shared curve, whose fibers over X = const are nonconstant
@@ -482,33 +485,30 @@ def _shared_verdict(config: Configuration) -> HyperbolicityVerdict:
         if not got:
             raise RouteError(f"split diagonal pair failed on {config}")
         return HyperbolicityVerdict("brody", "split-diagonal-pair", *got)
-    if brody_fallback:
-        w1 = check_form(config, ledger, omega(i1), "pencil-basis-1")
-        if w1.regular != "yes":
-            raise RouteError(f"diagonal fallback pair failed on {config}")
-        # A line s*(X-Y) + t*x_i1 of this pencil passes through the deep
-        # crossing (a, a).  The curve restricts to P' on the diagonal and
-        # to (P(a) - P(Y))/(a - Y) on X = a, so neither divides it, nor
-        # does Y = a.  Any other line is Y - a = lam*(X - a), lam != 0, 1,
-        # and lies on the curve iff lam^k = 1 for every k in the support
-        # of Q = P(a + X) - P(a), which needs a support gcd above 1.  The
-        # route serves (m, 1, 1), m >= 2, where Q' = c*X^m*(X-b1)*(X-b2)
-        # with b1 != b2 both nonzero, and (m, 2), m >= 3, where b2 = b1.
-        # Either way m+1 and m+3 are in the support, and so is m+2 unless
-        # b1 + b2 = 0.  So the gcd exceeds 1 only if b2 = -b1 and m is
-        # odd; then Q is even and P(a + b1) = P(a + b2), against
-        # separation.  So ASSUME_SCALE_RIGID follows from ASSUME_SEPARATED;
-        # it and needs_coefficient_check stay on the certificate until a
-        # round that allows report changes.
-        ind = IndependenceCertificate(
-            "linear-span", (_atom_str(DIAG), _atom_str(atom_x(i1))),
-            (ASSUME_SEPARATED, ASSUME_SCALE_RIGID))
-        return HyperbolicityVerdict("brody", "balanced-plus-split",
-                                    (w0, w1), ind,
-                                    (ASSUME_SEPARATED, ASSUME_SCALE_RIGID),
-                                    needs_coefficient_check=True)
-    return HyperbolicityVerdict("algebraic", "balanced-diagonal", (w0,),
-                                None, (ASSUME_SEPARATED,))
+    w1 = check_form(config, ledger, omega(i1), "pencil-basis-1")
+    if w1.regular != "yes":
+        raise RouteError(f"diagonal fallback pair failed on {config}")
+    # A line s*(X-Y) + t*x_i1 of this pencil passes through the deep
+    # crossing (a, a).  The curve restricts to P' on the diagonal and
+    # to (P(a) - P(Y))/(a - Y) on X = a, so neither divides it, nor
+    # does Y = a.  Any other line is Y - a = lam*(X - a), lam != 0, 1,
+    # and lies on the curve iff lam^k = 1 for every k in the support
+    # of Q = P(a + X) - P(a), which needs a support gcd above 1.  The
+    # route serves (m, 1, 1), m >= 2, where Q' = c*X^m*(X-b1)*(X-b2)
+    # with b1 != b2 both nonzero, and (m, 2), m >= 3, where b2 = b1.
+    # Either way m+1 and m+3 are in the support, and so is m+2 unless
+    # b1 + b2 = 0.  So the gcd exceeds 1 only if b2 = -b1 and m is
+    # odd; then Q is even and P(a + b1) = P(a + b2), against
+    # separation.  So ASSUME_SCALE_RIGID follows from ASSUME_SEPARATED;
+    # it and needs_coefficient_check stay on the certificate until a
+    # round that allows report changes.
+    ind = IndependenceCertificate(
+        "linear-span", (_atom_str(DIAG), _atom_str(atom_x(i1))),
+        (ASSUME_SEPARATED, ASSUME_SCALE_RIGID))
+    return HyperbolicityVerdict("brody", "balanced-plus-split",
+                                (w0, w1), ind,
+                                (ASSUME_SEPARATED, ASSUME_SCALE_RIGID),
+                                needs_coefficient_check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +526,26 @@ def _scaled_stats(config: Configuration):
     return m, l, tau, dom, unpaired, all_paired, order
 
 
-def scaled_statement_grants(config: Configuration) -> tuple[bool, bool]:
-    """(algebraic granted, brody granted) for a scaled configuration.
+def statement_grants(config: Configuration) -> tuple[bool, bool]:
+    """(algebraic granted, brody granted) for a configuration.
 
-    The grants depend only on the multiplicity profile, which indices are
-    paired, and the one exceptional all-simple three-cycle. Needs at
-    least two critical points, as ``_scaled_verdict`` ensures.
+    The dispatch certifies exactly these grants. On the shared curve
+    they are the separated theorem, which ``classify`` reads: algebraic,
+    plain uniqueness for rational functions, needs every co-multiplicity
+    at least 2, so three critical points or two non-simple ones; brody,
+    for meromorphic functions, holds on all of those but the genus-one
+    curves of the smooth quartic (1, 1, 1) and the two-node quintic
+    (2, 2). The scaled grants read the multiplicity profile, which
+    indices are paired, and the one exceptional all-simple three-cycle.
+    Nothing is granted to a single critical point.
     """
-    m, l, tau, dom, unpaired, all_paired, order = _scaled_stats(config)
+    if len(config.mults) < 2:
+        return False, False
+    if config.kind == "shared":
+        ms = sorted(config.mults, reverse=True)
+        alg = len(ms) >= 3 or ms[1] >= 2
+        return alg, alg and ms not in ([1, 1, 1], [2, 2])
+    m, l, _, _, unpaired, all_paired, order = _scaled_stats(config)
     ms = [m[i] for i in order]
     m2 = ms[1]
     simple_unpaired = [i for i in unpaired if m[i] == 1]
@@ -808,10 +820,10 @@ def _scaled_alg_routes(config, ledger):
 
 def _scaled_verdict(config: Configuration) -> HyperbolicityVerdict:
     m, l, tau, dom, unpaired, all_paired, order = _scaled_stats(config)
+    alg, brody = statement_grants(config)
     if l < 2:
         return HyperbolicityVerdict("none", None, (), None,
                                     (ASSUME_SEPARATED,), "single-critical-point")
-    alg, brody = scaled_statement_grants(config)
     if not alg:
         ms = [m[i] for i in order]
         if l == 3 and ms == [1, 1, 1] and all_paired:

@@ -31,9 +31,9 @@ from .classify import (
 )
 from .criteria import (
     critical_structure,
-    exceptional_flags,
     index_data,
     linear_factor_scan,
+    quartic_value_orbit,
 )
 from .curves import (
     Configuration,
@@ -401,9 +401,8 @@ def exceptional_quartic_flags() -> CriterionResult:
     failures: list = []
     cases = 0
     cs = critical_structure(X**4 - 4 * X)
-    flags = exceptional_flags(cs)
     cases += 2
-    if not flags.quartic_w_case:
+    if not quartic_value_orbit(cs):
         failures.append(("X^4 - 4X", "flag missing"))
     want_sep = Poly.from_support({3: Q(1), 0: Q(27)})
     if cs.separation_poly != want_sep:
@@ -412,8 +411,7 @@ def exceptional_quartic_flags() -> CriterionResult:
     for a in (-3, -2, -1, 1, 2, 3):
         for b in (-3, -2, -1, 1, 2, 3):
             cases += 1
-            f = exceptional_flags(critical_structure(X**4 + a * X + b))
-            if f.quartic_w_case:
+            if quartic_value_orbit(critical_structure(X**4 + a * X + b)):
                 failures.append((f"X^4 + {a}X + {b}", "spurious flag"))
     return _result("exceptional-quartic-flags", start, cases, failures)
 

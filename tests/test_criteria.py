@@ -1,4 +1,4 @@
-"""Support indices, critical structure, affine symmetries, exceptional flags."""
+"""Support indices, critical structure, affine symmetries, the value-orbit flag."""
 
 from __future__ import annotations
 
@@ -18,8 +18,10 @@ from uniqpoly.criteria import (
     index_data,
     linear_factor_scan,
     normalize,
-    exceptional_flags,
+    quartic_value_orbit,
 )
+from uniqpoly.curves import Configuration
+from uniqpoly.orders import statement_grants
 from uniqpoly.polynomials import (
     GCD_PRIMES,
     Poly,
@@ -357,28 +359,34 @@ def test_linear_factor_scan():
         linear_factor_scan(index_data(X**4 + X), "shared")
 
 
+def _shared_grants(cs) -> tuple[bool, bool]:
+    return statement_grants(Configuration("shared", cs.profile))
+
+
 def test_exceptional_flags():
-    f = exceptional_flags(critical_structure(X**4 - 4 * X))
-    assert f.quartic_w_case and f.quartic_structural and not f.quintic_case
+    # the smooth quartic and the two-node quintic are granted algebraic
+    # but not brody, which is where classify places their exceptions
+    cs = critical_structure(X**4 - 4 * X)
+    assert quartic_value_orbit(cs)
+    assert _shared_grants(cs) == (True, False) and cs.profile == (1, 1, 1)
 
-    f = exceptional_flags(critical_structure(X**4 + X + 1))
-    assert not f.quartic_w_case
-    assert f.quartic_structural
+    cs = critical_structure(X**4 + X + 1)
+    assert not quartic_value_orbit(cs)
+    assert _shared_grants(cs) == (True, False) and cs.profile == (1, 1, 1)
 
-    f = exceptional_flags(
-        critical_structure(6 * X**5 - 15 * X**4 + 10 * X**3 + 1))
-    assert f.quintic_case and not f.quartic_w_case
+    cs = critical_structure(6 * X**5 - 15 * X**4 + 10 * X**3 + 1)
+    assert not quartic_value_orbit(cs)
+    assert _shared_grants(cs) == (True, False) and cs.profile == (2, 2)
 
-    f = exceptional_flags(critical_structure(X**5 + X**3 + 1))
-    assert not (f.quartic_w_case or f.quartic_structural or f.quintic_case)
+    cs = critical_structure(X**5 + X**3 + 1)
+    assert not quartic_value_orbit(cs)
+    assert _shared_grants(cs) == (True, True)
 
     # the w grid rows: X^4 + aX + b has w-orbit values only when b = 0
     for a in (1, -2, 3):
         for b in (1, -1, 2, -2, 3, -3):
-            f = exceptional_flags(critical_structure(X**4 + a * X + b))
-            assert not f.quartic_w_case
-        f = exceptional_flags(critical_structure(X**4 + a * X))
-        assert f.quartic_w_case
+            assert not quartic_value_orbit(critical_structure(X**4 + a * X + b))
+        assert quartic_value_orbit(critical_structure(X**4 + a * X))
 
 
 def _flag_by_value_polynomial(p: Poly) -> bool:
@@ -413,7 +421,7 @@ def test_trace_flags_match_the_value_polynomial():
             continue
         want = _flag_by_value_polynomial(p)
         seen.add(want)
-        assert exceptional_flags(cs).quartic_w_case == want, p
+        assert quartic_value_orbit(cs) == want, p
     assert seen == {True, False}
 
 

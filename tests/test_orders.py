@@ -30,7 +30,7 @@ from uniqpoly.orders import (
     hyperbolicity_verdict,
     replay_chain,
     replay_verdict,
-    scaled_statement_grants,
+    statement_grants,
 )
 from uniqpoly.polynomials import Poly, X
 from uniqpoly.report import jsonable
@@ -395,9 +395,11 @@ def test_machine_matches_hand_table():
 
 
 def test_grant_helper_agrees_with_hand_table():
-    for cfg in _of_kind(9, "scaled"):
-        alg, brody = scaled_statement_grants(cfg)
-        want = _expected_scaled(cfg.mults, cfg.pairing)
+    single = [Configuration(kind, (4,)) for kind in ("shared", "scaled")]
+    for cfg in enumerate_configurations(9) + single:
+        alg, brody = statement_grants(cfg)
+        want = _expected_shared(cfg.mults) if cfg.kind == "shared" \
+            else _expected_scaled(cfg.mults, cfg.pairing)
         got = "brody" if brody else ("algebraic" if alg else "none")
         assert got == want, cfg
 

@@ -451,6 +451,20 @@ def test_batch_preserves_order_and_worst_code(capsys, tmp_path):
     assert all("\n" not in json.dumps(rep) for rep in lines)
 
 
+def test_batch_reports_a_line_that_is_not_utf8_and_goes_on(capsys, tmp_path):
+    batch = tmp_path / "polys.txt"
+    batch.write_bytes(b"X^4+X+1\n\xff\xfeX^3\nX^5+X^2\n")
+    code, out, _ = run_cli(capsys, "classify", "--batch", str(batch))
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert len(lines) == 3
+    assert lines[0]["input"]["text"] == "X^4+X+1"
+    # the same report as for those bytes given as an argument
+    assert lines[1]["error"] == {
+        "kind": "parse", "message": "unexpected character '\\udcff' at offset 0"}
+    assert lines[2]["input"]["text"] == "X^5+X^2"
+
+
 def test_batch_writes_each_line_before_the_next(monkeypatch, tmp_path):
     batch = tmp_path / "polys.txt"
     batch.write_text("X^4+X+1\nX^^2\n\nX^5+X^2\n")
