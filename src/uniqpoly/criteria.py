@@ -159,6 +159,9 @@ def _separation_poly(rad: Poly, p: Poly) -> Poly:
     return sep
 
 
+# classify and the audit's replay of a paper-exception witness read the
+# structure of one P; they share a single call
+@lru_cache(maxsize=1)
 def critical_structure(p: Poly) -> CriticalStructure:
     """Critical points, profile and separation of P.
 
@@ -168,11 +171,15 @@ def critical_structure(p: Poly) -> CriticalStructure:
     if its constant term is nonzero, no critical value is 0, so P is
     squarefree: P has a repeated root exactly when 0 is a critical
     value, which is what ``has_zero_value`` says. ``squarefree_parts``
-    splits only what the image leaves open: P' when the image is not
-    squarefree, after which the radical gets an image of its own if the
-    split changed it, and P when no image certified its constant term.
-    The exact value polynomial is built only when no prime certifies
-    separation, or later when ``separation_poly`` is first read.
+    splits only what the image leaves open, mostly from images modulo a
+    prime too: P' when the image is not squarefree, and P when no image
+    certified its constant term. When the split of P' = prod S_m^m
+    changes its radical, the radical's image is the first one divided by
+    the small image of prod S_m^(m-1), so no second image of full degree
+    is built. The exact value polynomial is built only when no prime
+    certifies separation, or later when ``separation_poly`` is first
+    read. The last answer is kept, so the audit's replay of a
+    paper-exception witness reads the structure ``classify`` built.
     """
     if p.degree < 2:
         raise ValueError("critical structure needs degree at least 2")
@@ -186,7 +193,7 @@ def critical_structure(p: Poly) -> CriticalStructure:
         split = math.prod((factor for factor, _ in parts), start=Poly.of(1))
         if split != rad:
             rad = split
-            image = separation_mod_p(rad, p)
+            image = separation_mod_p(rad, p)  # read off the first image
     profile = sorted((mult for factor, mult in parts
                       for _ in range(factor.degree)), reverse=True)
     root_parts = (((p.monic(), 1),) if image and image[1]

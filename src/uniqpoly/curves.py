@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .polynomials import Poly
@@ -289,7 +290,10 @@ def _split_possible(d1: int, d2: int, census: Sequence[CensusPoint]) -> bool:
             return False
         ranges.append((pt, lo, hi))
 
-    # depth-first over assignments; track achieved product sums
+    # depth-first over assignments; track achieved product sums. The
+    # answer below a point depends only on (idx, acc, slack_seen), so each
+    # state is searched once
+    @lru_cache(maxsize=None)
     def walk(idx: int, acc: int, slack_seen: bool) -> bool:
         if idx == len(ranges):
             return acc == target or (acc < target and slack_seen)

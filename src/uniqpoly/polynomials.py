@@ -17,20 +17,23 @@ Newton's divided differences, and the cyclotomic polynomial Phi_r comes
 from exact division of X^r - 1. Sums and products skip zero
 coefficients, so building a polynomial term by term costs in proportion
 to its terms. A squarefree decision is ``squarefree_parts``: Euclid on f
-and f' in F_q certifies f squarefree when it can, and only otherwise
-does Yun's algorithm run over Q. ``radical`` and ``rational_roots`` read
-it. ``criteria.critical_structure`` first asks the value polynomial of
-the roots of P'/lc(P') modulo a prime below 2^15, which certifies P'
-squarefree, the critical values distinct and P squarefree at once, and
-calls ``squarefree_parts`` only for what that image leaves open. The
+and f' in F_q certifies f squarefree when it can; otherwise the parts of
+gcd(f, f') split in F_q, lifted by rational reconstruction and divided
+out of f exactly, give the split, certified by its uniqueness, and only
+where that fails does Yun's algorithm run over Q. ``radical`` and
+``rational_roots`` read it. ``criteria.critical_structure`` first asks
+the value polynomial of the roots of P'/lc(P') modulo a prime below
+2^15, which certifies P' squarefree, the critical values distinct and P
+squarefree at once, and calls ``squarefree_parts`` only for what that
+image leaves open; the radical's image is then read off the first. The
 image comes from power sums: Newton's identities give the power sums of
-the roots, the traces of P^k mod r give those of the values, and
-Newton's identities again give the coefficients. Each P^k mod r is one
-product of residue vectors packed into one integer, folded back by a
-packed table of x^(l+i) mod r. Rational roots come from roots modulo a
-small prime where the input stays squarefree, lifted by Hensel's lemma.
-The test suite checks the resultant against a Sylvester-determinant
-oracle.
+the roots, the traces of P^k mod r, by baby steps and giant steps, give
+those of the values, and Newton's identities again give the
+coefficients. Each product mod r is one product of residue vectors
+packed into one integer, folded back by a packed table of x^(l+i) mod r.
+Rational roots come from roots modulo a small prime where the input
+stays squarefree, lifted by Hensel's lemma. The test suite checks the
+resultant against a Sylvester-determinant oracle.
 """
 
 from __future__ import annotations
@@ -322,32 +325,103 @@ def _reduce_mod(f: Poly, q: int) -> list[int]:
     return _istrip([c * x % q for x in f.prim])
 
 
-def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Remainder of a under division by a nonzero b, in F_p."""
+def _divmod_mod(a: Sequence[int], b: Sequence[int],
+                p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a under division by a nonzero b, in F_p."""
     inv = pow(b[-1], -1, p)
     db = _ideg(b)
     low = b[:-1]
     rem = list(a)
+    quo = [0] * max(len(rem) - db, 0)
     while len(rem) > db:
         # the top term cancels exactly, so it is dropped rather than computed
         lead = rem.pop() * inv % p
         if lead:
             shift = len(rem) - db
+            quo[shift] = lead
             rem[shift:] = [(x - lead * y) % p
                            for x, y in zip(rem[shift:], low)]
         _istrip(rem)
-    return rem
+    return quo, rem
+
+
+def _rem_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Remainder of a under division by a nonzero b, in F_p."""
+    return _divmod_mod(a, b, p)[1]
+
+
+def _derivative_mod(a: Sequence[int], p: int) -> list[int]:
+    return _istrip([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd in F_p of a and b, a nonzero, by Euclid. In the usual
+    step deg a = deg b + 1, and the remainder a - (q1 x + q0) b is taken
+    in one pass."""
+    while b:
+        n = len(b)
+        if len(a) == n + 1 and n > 1:
+            inv = pow(b[-1], -1, p)
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            # the top two terms cancel
+            a, b = b, _istrip([(x - q1 * y - q0 * z) % p for x, y, z
+                               in zip(a, [0] + b[:-2], b[:-1])])
+        else:
+            a, b = b, _rem_mod(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _derivative_gcd_mod(f: Sequence[int], q: int) -> list[int]:
+    """gcd(f, f') in F_q, monic, for f whose leading coefficient q does
+    not divide."""
+    a = [c % q for c in f]
+    return _gcd_mod(a, _derivative_mod(a, q), q)
 
 
 def _squarefree_mod(f: Sequence[int], q: int) -> bool:
     """For nonzero f: q does not divide lc(f), and gcd(f, f') = 1 in F_q."""
-    if f[-1] % q == 0:
-        return False
-    a = [c % q for c in f]
-    b = _istrip([i * c % q for i, c in enumerate(a)][1:])
-    while b:
-        a, b = b, _rem_mod(a, b, q)
-    return _ideg(a) == 0
+    return f[-1] % q != 0 and len(_derivative_gcd_mod(f, q)) == 1
+
+
+def _split_mod(g: Sequence[int], q: int) -> list[list[int]]:
+    """Yun's algorithm in F_q on monic g of degree below q: the monic
+    g_1, g_2, .. with g = prod g_i^i, [1] for a multiplicity that does
+    not occur. Below degree q the derivative of a nonconstant factor is
+    nonzero, so the steps are those over Q."""
+    def minus(x: list[int], y: list[int]) -> list[int]:
+        x = x + [0] * (len(y) - len(x))
+        for i, c in enumerate(y):
+            x[i] = (x[i] - c) % q
+        return _istrip(x)
+
+    dg = _derivative_mod(g, q)
+    a = _gcd_mod(g, dg, q)
+    c = _divmod_mod(g, a, q)[0]
+    d = minus(_divmod_mod(dg, a, q)[0], _derivative_mod(c, q))
+    parts = []
+    while len(c) > 1:
+        h = _gcd_mod(c, d, q)
+        parts.append(h)
+        c = _divmod_mod(c, h, q)[0]
+        d = minus(_divmod_mod(d, h, q)[0], _derivative_mod(c, q))
+    return parts
+
+
+def _rational_mod(c: int, q: int) -> Fraction:
+    """The fraction u/v with u = c v mod q and |u|, v <= sqrt(q/2), which
+    is unique when it exists (rational reconstruction by the extended
+    Euclidean algorithm; von zur Gathen and Gerhard, Modern Computer
+    Algebra, sec. 5.10); ValueError when none exists."""
+    bound = math.isqrt(q // 2)
+    r0, r1, t0, t1 = q, c, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        raise ValueError("no rational reconstruction")
+    return Q(r1, t1)
 
 
 # residue vectors travel packed into one int, one unsigned long long
@@ -369,50 +443,96 @@ def _value_poly_mod(r: Sequence[int], a: Sequence[int], q: int) -> list[int]:
     the roots alpha of r, for r monic of degree l < q and deg a < l.
 
     The product is the characteristic polynomial of multiplication by a
-    in F_q[x]/(r), so its k-th power sum is the trace s_k = Tr(a^k mod r)
-    = sum_j [a^k mod r]_j p_j, with p_j the j-th power sum of the roots
-    of r. Newton's identities give the p_j from r with no division, and
-    the coefficients from the s_k with a division by each k <= l < q
-    (power projection; Bostan, Flajolet, Salvy and Schost, J. Symb.
-    Comput. 41(1), 2006). The leading coefficient is set to 1, not
-    computed, so the result is monic of degree l by construction.
+    in F_q[x]/(r), so its k-th power sum is the trace s_k = Tr(a^k mod r).
+    Newton's identities give the power sums p_j of the roots of r with no
+    division, and the coefficients from the s_k with a division by each
+    k <= l < q (power projection; Bostan, Flajolet, Salvy and Schost,
+    J. Symb. Comput. 41(1), 2006). The leading coefficient is set to 1,
+    not computed, so the result is monic of degree l by construction.
 
-    Each a^k mod r is one product of packed vectors (Kronecker
-    substitution; D. Harvey, J. Symb. Comput. 44(10), 2009), whose
-    coefficients of x^l .. x^(2l-2) are folded back by a packed table of
-    the x^(l+i) mod r: O(l) operations on ints per k.
+    The traces come by baby steps and giant steps (V. Shoup, J. Symb.
+    Comput. 17, 1994). The Gram matrix of the trace form on the basis
+    1, x, .., x^(l-1) is the Hankel matrix H = (p_(u+v)), so with
+    A = a^m mod r, s_(jm+i) = Tr(a^i A^j) = <H (a^i mod r), A^j mod r>:
+    m - 1 products build a, .., a^m, m - 1 more the H a^i, about l/m the
+    A^j, and each trace is one dot product, about 2 sqrt(l) products for
+    m near sqrt(l) instead of l - 1. With m = 1 the loop is the plain one,
+    s_j = <(p_0 .. p_(l-1)), a^j mod r>, which l <= 8 takes.
+
+    Each product is one product of packed vectors (Kronecker
+    substitution; D. Harvey, J. Symb. Comput. 44(10), 2009). A product
+    mod r folds its coefficients h_i of x^(l+i), reduced mod q, back with
+    a packed table whose row i is congruent to x^(l+i) mod r. Row 0 is
+    -r mod q; row i + 1 is x times row i, its top slot t reduced mod q,
+    plus t (-r mod q). The rows are not reduced slot by slot; each slot,
+    below 2^31 + (q - 1)^2 < 2^32 after that step, is cut to c h + b,
+    where b is its low 30 bits, h < 4 the rest and c = 2^30 mod q, so
+    it stays below 3q + 2^30 < 2^31.
+
+    No slot ever carries into the next, for every l < q < 2^15: a product
+    slot of two residue vectors of length at most 2l - 1 and l is a sum of
+    at most l products of residues, at most l (q - 1)^2 < 2^45, and a fold
+    adds at most (l - 1)(q - 1) 2^31 < 2^61 to it, below 2^62 in all,
+    inside a 64-bit slot.
     """
     l = len(r) - 1
+    m = max(1, math.isqrt(l) - 1)  # baby steps
     # Newton's identities for monic f of degree l with power sums s:
-    # k f_(l-k) + sum_(i=1..k) f_(l-k+i) s_i = 0 for k <= l, with f_l = 1
+    # k f_(l-k) + sum_(i=1..k) f_(l-k+i) s_i = 0 for k <= l, with f_l = 1;
+    # past l, p_k = -sum_(j<l) r_j p_(k-l+j), since r vanishes at each root
     p = [l]
     for k in range(1, l):
         p.append(-(k * r[l - k] + sum(map(mul, r[l - k + 1:l], p[1:k]))) % q)
-    table = []
-    row = [-c % q for c in r[:-1]]
-    for _ in range(l - 1):
-        table.append(_pack(row))
-        top = row[-1]
-        row = [(x - top * y) % q for x, y in zip([0] + row[:-1], r)]
-    # Every slot stays below 2^46 and so never carries: a product slot
-    # is a sum of at most l products of residues, at most l (q - 1)^2,
-    # and folding adds l - 1 more, so a slot is at most (2l - 1)(q - 1)^2
-    # < 2^46 for l < q < 2^15, well inside a 64-bit slot.
-    v = list(a) + [0] * (l - len(a))
-    packed = _pack(v)
-    width = 8 * _SLOT_BYTES * l
+    if m > 1:
+        for k in range(l, 2 * l - 1):
+            p.append(-sum(map(mul, r, p[k - l:k])) % q)
+    bits = 8 * _SLOT_BYTES
+    width = bits * l
     low = (1 << width) - 1
-    s = [l, sum(map(mul, v, p)) % q]
-    for _ in range(l - 1):
+    top = width - bits
+    cut = _pack([(1 << 30) - 1] * l)
+    c = (1 << 30) % q
+    row = neg = _pack([-x % q for x in r[:-1]])
+    table = [row]
+    for _ in range(l - 2):
+        row = (row << bits & low) + (row >> top) % q * neg
+        row = (row >> 30 & cut) * c + (row & cut)
+        table.append(row)
+
+    def times(v: list[int], packed: int) -> list[int]:
         prod = _pack(v) * packed
         high = [h % q for h in _unpack(prod >> width, l - 1)]
-        v = [c % q for c in _unpack(sum(map(mul, high, table), prod & low), l)]
-        s.append(sum(map(mul, v, p)) % q)
+        return [x % q
+                for x in _unpack(sum(map(mul, high, table), prod & low), l)]
+
+    v = list(a) + [0] * (l - len(a))
+    packed = _pack(v)
+    ws = [p[:l]]  # the H a^i mod r; H 1 is the first column of H
+    if m > 1:
+        hankel = _pack(p)
+        for _ in range(m - 1):
+            # slots l - 1 .. 2l - 2 of p times v reversed are H v
+            ws.append([x % q for x in _unpack(
+                hankel * _pack(v[::-1]) >> top & low, l)])
+            v = times(v, packed)
+        packed = _pack(v)
+    s = [w[0] for w in ws]  # Tr(a^i), the first slot of H a^i
+    for j in range(l // m):
+        if j:
+            v = times(v, packed)
+        s += [sum(map(mul, w, v)) % q for w in ws]
     sep = [0] * l + [1]
     for k in range(1, l + 1):
         sep[l - k] = (-sum(map(mul, sep[l - k + 1:], s[1:k + 1]))
                       * pow(k, -1, q) % q)
     return sep
+
+
+# the last image separation_mod_p built in full, as (P, q, rad mod q,
+# image): critical_structure asks for the image of P'/lc(P') first and,
+# when P' has a repeated factor, next for that of its radical, which is
+# read off the first
+_last_image: Optional[tuple] = None
 
 
 def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
@@ -437,14 +557,32 @@ def separation_mod_p(rad: Poly, p: Poly) -> Optional[tuple[bool, bool]]:
     constant term (-1)^l Res(rad, P) mod q certifies that no root of rad
     is a root of P. False in either place means only that q certified
     nothing; None means no prime was usable.
+
+    The image is multiplicative in rad, since Res_X(r e, t - P) =
+    Res_X(r, t - P) Res_X(e, t - P) for monic r and e. So when the last
+    image built in full was of the same P at the same q, for a multiple
+    R of rad mod q, the image of rad is that one divided in F_q[t] by the
+    image of the cofactor e = R / rad, which is small: for R = P'/lc(P')
+    = prod S_m^m and rad = prod S_m, e = prod S_m^(m-1).
     """
+    global _last_image
     l = rad.degree
     for q in GCD_PRIMES:
         if q <= l or rad.content.denominator % q == 0 \
                 or p.content.denominator % q == 0:
             continue
         r = _reduce_mod(rad, q)
-        sep = _value_poly_mod(r, _rem_mod(_reduce_mod(p, q), r, q), q)
+        a = _reduce_mod(p, q)
+        sep = None
+        last = _last_image
+        if last and last[1] == q and len(last[2]) > len(r) and last[0] == p:
+            e, rest = _divmod_mod(last[2], r, q)
+            if not rest:
+                sep = _divmod_mod(last[3], _value_poly_mod(
+                    e, _rem_mod(a, e, q), q), q)[0]
+        if sep is None:
+            sep = _value_poly_mod(r, _rem_mod(a, r, q), q)
+            _last_image = (p, q, r, sep)
         return _squarefree_mod(sep, q), sep[0] != 0
     return None
 
@@ -497,19 +635,37 @@ def _int_resultant(A: Sequence[int], B: Sequence[int]) -> int:
 
 
 def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree factors of p with multiplicities.
+    """Monic squarefree factors of p with multiplicities, ascending.
 
-    With f = p.prim: when q = ``GCD_PRIMES[0]`` does not divide lc(f) and
-    gcd(f, f') = 1 in F_q, f is squarefree over Q, since a square factor
-    would stay one mod q, so the answer is p.monic() alone and no gcd is
-    taken. Otherwise Yun's algorithm splits p over Q. The product of
-    factor**mult over the result is p.monic().
+    With f = p.prim and q = ``GCD_PRIMES[0]``, when q does not divide
+    lc(f) and deg f < q, Euclid in F_q gives g = gcd(f, f'). If g = 1, f
+    is squarefree over Q, since a square factor would stay one mod q, so
+    the answer is p.monic() alone and no gcd over Q is taken. Otherwise
+    f = prod f_i^i in F_q gives g = prod f_i^(i-1), and below degree q
+    Yun's algorithm splits g in F_q: its part of multiplicity i - 1 is
+    f_i. Each small f_i, i >= 2, is lifted to h_i over Q by rational
+    reconstruction of its coefficients, and h_1 = f / prod h_i^i is
+    divided out exactly over Z. If that division is exact, the h_i are
+    f's squarefree parts over Q: they reduce to the f_i mod q, which are
+    squarefree and pairwise coprime, and a square or common factor over Q
+    would stay one mod q, as no lc(h_i) is divisible by q; the squarefree
+    factorization is unique. Where reconstruction finds no fraction or the
+    division is not exact, Yun's algorithm splits p over Q, as it does
+    when q divides lc(f). The product of factor**mult over the result is
+    p.monic().
     """
     if p.degree < 1:
         raise ValueError("squarefree splitting needs degree at least 1")
     p = p.monic()
-    if _squarefree_mod(p.prim, GCD_PRIMES[0]):
-        return [(p, 1)]
+    f, q = p.prim, GCD_PRIMES[0]
+    if f[-1] % q and len(f) <= q:
+        g_mod = _derivative_gcd_mod(f, q)
+        if len(g_mod) == 1:
+            return [(p, 1)]
+        try:
+            return _lift_parts(f, _split_mod(g_mod, q), q)
+        except ValueError:
+            pass  # a part has no small lift: Yun's algorithm decides
     out: list[tuple[Poly, int]] = []
     g = poly_gcd(p, p.derivative())
     c = p.exact_div(g)
@@ -522,6 +678,23 @@ def squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
         c = c.exact_div(a)
         d = d.exact_div(a) - c.derivative()
         i += 1
+    return out
+
+
+def _lift_parts(f: Sequence[int], parts: list[list[int]],
+                q: int) -> list[tuple[Poly, int]]:
+    """The squarefree parts of primitive f over Q from the parts of
+    gcd(f, f') in F_q, parts[k] of multiplicity k + 1 there and k + 2 in
+    f, as ``squarefree_parts`` proves; ValueError when a lift fails."""
+    out = []
+    for i, part in enumerate(parts, start=2):
+        if len(part) > 1:
+            h = Poly([_rational_mod(c, q) for c in part])
+            for _ in range(i):
+                f = _int_divexact(f, h.prim)
+            out.append((h, i))
+    if len(f) > 1:
+        out.insert(0, (_poly(f, Q(1, f[-1]), primitive=True), 1))
     return out
 
 

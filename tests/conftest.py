@@ -6,10 +6,19 @@ cache (constants read from the source files) goes to a temporary
 directory that is removed after the run, so no ``.hypothesis/`` directory
 appears in the checkout. Each test's own ``max_examples`` and
 ``deadline`` still apply.
+
+``criteria.critical_structure`` keeps its last answer, so that ``classify``
+and the audit's replay share one; the cache is emptied before each test,
+so that no test reads a structure an earlier one built, perhaps under a
+stub.
 """
 
 import shutil
 import tempfile
+
+import pytest
+
+from uniqpoly import criteria
 
 try:
     import hypothesis
@@ -27,3 +36,8 @@ def pytest_configure(config):
         home = tempfile.mkdtemp(prefix="hypothesis-")
         config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
         hypothesis.configuration.set_hypothesis_home_dir(home)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_critical_structure():
+    criteria.critical_structure.cache_clear()

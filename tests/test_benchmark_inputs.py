@@ -14,7 +14,9 @@ equal the one from l + 1 resultants in F_q, and ``normalize`` must give
 the centered form that Horner's rule over Fraction coefficients gives.
 Every field of ``critical_structure`` must also equal what splitting P'
 and P first gives (``_reference_structure``). Count tests pin the work:
-``classify`` takes no radical on an input with no zero critical value,
+``critical_structure`` takes no PRS gcd and builds one value image of
+full degree per batch_small and degree_ladder input, ``classify`` takes
+no radical on an input with no zero critical value,
 the seed-0 batch_small lines take no exact resultant through ``classify``
 and the audit, and the zero-valued degree-64 input -3/7 P(X + 4/5) gets
 ``has_zero_value`` without an exact resultant.
@@ -31,7 +33,7 @@ from pathlib import Path
 
 from test_criteria import _check_modular_image
 from test_modular_certificates import _fields, _reference_structure
-from uniqpoly import criteria
+from uniqpoly import criteria, polynomials
 from uniqpoly.parser import DegreeCapError, ParseError, parse_poly
 from uniqpoly.polynomials import Poly
 
@@ -88,6 +90,8 @@ def test_modular_and_exact_critical_structure_agree(monkeypatch):
     assert len(inputs) == 96 + 21  # every well-formed line under the cap
     modular = [_answers(p) for p in inputs]
     monkeypatch.setattr(criteria, "separation_mod_p", lambda rad, p: None)
+    # critical_structure keeps its last answer, built before the stub
+    criteria.critical_structure.cache_clear()
     exact = criteria.poly_gcd
     separation_gcds = []
 
@@ -104,6 +108,22 @@ def test_critical_structure_matches_the_split_reference():
     for p in _benchmark_inputs("batch_small", "degree_ladder", "curve_census"):
         assert (_fields(criteria.critical_structure(p))
                 == _reference_structure(p)), p
+
+
+def test_critical_structure_takes_no_prs_gcd_and_one_full_image(monkeypatch):
+    # the image of P' certifies or splits every input: a repeated factor
+    # of P' or P is lifted from its image modulo q, the radical's image is
+    # read off the first, and no gcd over Q is taken
+    gcds = _count_calls(monkeypatch, polynomials, "_int_gcd")
+    images = _count_calls(monkeypatch, polynomials, "_value_poly_mod")
+    repeated = 0
+    for p in _benchmark_inputs("batch_small", "degree_ladder"):
+        images.clear()
+        cs = criteria.critical_structure(p)
+        assert [len(r) - 1 for r, _, _ in images].count(p.degree - 1) == 1, p
+        repeated += cs.radical.degree < p.degree - 1 or cs.has_zero_value
+    assert gcds == []
+    assert repeated >= 5  # inputs whose P' or P has a repeated factor
 
 
 def test_modular_image_matches_the_resultant_route():

@@ -336,14 +336,19 @@ def test_audit_builds_constraint_gcd_once():
 
 def test_audit_replays_a_shared_witness_once(monkeypatch):
     # both meromorphic slots of X^4 + X + 1 hold one paper-exception
-    # witness; classify and its single replay each need the structure once
+    # witness; classify and its single replay each ask for the structure
+    # once, and it is computed once: the replay reads the one classify built
+    from uniqpoly import criteria
+
     calls = _count_calls(monkeypatch, classify_mod, "critical_structure")
+    images = _count_calls(monkeypatch, criteria, "separation_mod_p")
     p = X**4 + X + 1
     v = classify(p)
     assert v.witnesses["up_meromorphic"] is v.witnesses["sup_meromorphic"]
     rep = consistency_audit(p, v)
     assert rep["ok"], rep["failures"]
     assert len(calls) <= 2
+    assert len(images) == 1
 
 
 def test_trace_is_json_friendly():

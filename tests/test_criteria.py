@@ -232,13 +232,45 @@ def test_modular_image_matches_the_reference():
         assert image[-1] == 1
 
 
+def _image_at_q_minus_1(l: int, q: int) -> list:
+    """The value polynomial modulo q of r = x^l - (x^(l-1) + .. + 1) and
+    a = -(x^(l-1) + .. + 1), every residue q - 1, in closed form. As
+    x^l = x^(l-1) + .. + 1 mod r, a = -x^l mod r, and a root alpha of r
+    has alpha^l (alpha - 2) = -1, so the values are 1/(alpha - 2), the
+    roots of t^l r(2 + 1/t), which is monic as r(2) = 1: r(t + 2)
+    reversed, by synthetic division."""
+    s = [q - 1] * l + [1]
+    for k in range(l):
+        for i in range(l - 1, k - 1, -1):
+            s[i] = (s[i] + 2 * s[i + 1]) % q
+    return s[::-1]
+
+
 def test_modular_image_slots_never_carry():
-    # every residue at q - 1 makes each packed product slot as large as
-    # it can be, also at l = 200, far above the degree cap
+    # every residue at q - 1 makes each packed product slot and each fold
+    # as large as it can be, also at l = 200, far above the degree cap.
+    # The slot bound holds for every l < q, so the largest l it allows is
+    # q - 1: that l is taken at q = 257, as at 32749 the fold table alone
+    # would hold l^2 slots; l = 1000 at 32749 reaches folds near 2^56
     q = GCD_PRIMES[0]
     for l in (64, 200):
         r, a = [q - 1] * l + [1], [q - 1] * l
         assert _value_poly_mod(r, a, q) == _reference_image(r, a, q)
+        assert _value_poly_mod(r, a, q) == _image_at_q_minus_1(l, q)
+    for q, l in ((257, 256), (GCD_PRIMES[0], 1000)):
+        r, a = [q - 1] * l + [1], [q - 1] * l
+        assert _value_poly_mod(r, a, q) == _image_at_q_minus_1(l, q), (q, l)
+
+
+def test_modular_image_without_giant_steps():
+    # l <= 8 takes one baby step, the plain loop over a^j mod r
+    rng = random.Random(8)
+    q = GCD_PRIMES[0]
+    for l in range(1, 9):
+        for _ in range(5):
+            r = [rng.randrange(q) for _ in range(l)] + [1]
+            a = [rng.randrange(q) for _ in range(rng.randint(0, l))]
+            assert _value_poly_mod(r, a, q) == _reference_image(r, a, q)
 
 
 def _symmetry(p: Poly):

@@ -5,7 +5,7 @@ modulo a prime below 2^15 first. Squarefree there (``_squarefree_mod``),
 it certifies P' squarefree and the critical values distinct; a nonzero
 constant term certifies that no critical value is 0, so P is
 squarefree. What it leaves open goes to ``squarefree_parts``, to an
-image of the radical, and last to the exact gcd. Every field must equal
+image of the radical read off the first, and last to the exact gcd. Every field must equal
 what a reference gets by splitting P' and P first and asking the
 radical's image, as the structure was built before; the exact resultant
 Res(rad P', P) stays the oracle for a zero critical value.
@@ -182,6 +182,8 @@ def test_exact_fallback_when_no_prime_answers(monkeypatch):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
     monkeypatch.setattr(criteria, "separation_mod_p", lambda rad, p: None)
+    # critical_structure keeps its last answer, built before the stub
+    criteria.critical_structure.cache_clear()
     exact = criteria.poly_gcd
     separation_gcds = []
 
@@ -198,6 +200,7 @@ def test_exact_fallback_when_the_prime_divides_a_denominator(monkeypatch):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
     monkeypatch.setattr(polynomials, "GCD_PRIMES", (3,))
+    criteria.critical_structure.cache_clear()
     assert [_results(p) for p in inputs] == want
     # inputs whose value polynomial has no image modulo 3
     skipped = [p for p, (_, cs, _) in zip(inputs, want)

@@ -1,8 +1,10 @@
 """Squarefree splitting against sympy.
 
 ``squarefree_parts`` is the squarefree routine: it certifies p
-squarefree modulo ``GCD_PRIMES[0]`` when it can and runs Yun's algorithm
-over Q otherwise. ``radical`` is the product of its factors.
+squarefree modulo q = ``GCD_PRIMES[0]`` when it can; otherwise it lifts
+the parts of gcd(f, f') in F_q by rational reconstruction and divides
+them out exactly, and runs Yun's algorithm over Q only where that fails.
+``radical`` is the product of its factors.
 ``critical_structure`` asks the value-polynomial image of P'/lc(P')
 modulo a prime first: a squarefree image certifies P' squarefree, a
 nonzero constant term certifies P squarefree, and ``squarefree_parts``
@@ -17,7 +19,10 @@ nonzero constant term, so ``has_zero_value`` always comes from
 ``squarefree_parts`` and is checked. Fixed inputs that are squarefree
 over Q but not certified modulo q, because q divides the leading
 coefficient or two roots meet modulo q, must still come back as one
-factor of multiplicity 1, from Yun's algorithm. Count tests pin that
+factor of multiplicity 1, from Yun's algorithm. Fixed products with
+factors of multiplicity 2-4 must split with no gcd over Q, and X(X - q)
+and (999X - 1000)^2 R, whose repeated factor has no small lift, through
+Yun's algorithm, each as sympy splits it. Count tests pin that
 ``critical_structure`` splits P' and P at most once for its readers, and
 not at all when the image certifies both: ``affine_symmetry`` and the
 scaled curve census take no split of their own.
@@ -96,9 +101,13 @@ def _check(p: Poly) -> None:
         # value polynomial of a non-separated P, seconds at degree 50.
         # The stub certifies a squarefree argument only as sympy does,
         # and never a nonzero critical value
+        # critical_structure keeps its last answer: none from before the
+        # stub is read, and none built under it is read later
+        criteria.critical_structure.cache_clear()
         with mock.patch.object(criteria, "separation_mod_p",
                                lambda rad, p: (_to_sympy(rad).is_sqf, False)):
             cs = criteria.critical_structure(p)
+        criteria.critical_structure.cache_clear()
         assert cs.has_zero_value == (sp.sqf_part().degree() < p.degree), p
         _, want = sp.diff(T).sqf_list()
         assert sorted(cs.derivative_parts, key=lambda fm: fm[1]) == sorted(
@@ -137,6 +146,46 @@ def test_q_unlucky_inputs_go_through_yun(monkeypatch):
         want = sorted((Q(int(r.p), int(r.q)), m)
                       for r, m in _to_sympy(p).ground_roots().items())
         assert rational_roots(p) == want, p
+
+
+def _split_inputs() -> tuple[list[Poly], list[Poly]]:
+    """(certified, fallback): products whose repeated factors lift from
+    their images modulo q, and inputs where Yun's algorithm must split:
+    X - q is X mod q, so the lift of X divides out too often, and the
+    repeated factor X - 1000/999 is past the reconstruction bound
+    sqrt(q/2)."""
+    q = GCD_PRIMES[0]
+    certified = [
+        (X - 1)**2 * (X + 2)**3 * (2 * X**2 + 1)**4 * (X**3 + X + 5),
+        X**4 * (3 * X + 2)**2 * (X**2 - 5)**3,
+        5 * (X**2 + X + 1)**2 * (X - 7)**2 * (X + Q(1, 3)),
+        (X * Q(1, 3) + Q(1, 2))**3 * (X**5 + 2),
+        (X**2 - 2)**2,
+        (X + 11)**4 * (X - 11)**3 * (X**2 + 11)**2 * (X**3 - 11),
+    ]
+    fallback = [X * (X - q), (999 * X - 1000)**2 * (X**3 + X + 1),
+                X**2 * (X - q) * (X + 1)**3]
+    return certified, fallback
+
+
+def test_certified_split_matches_sympy(monkeypatch):
+    exact = polynomials.poly_gcd
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return exact(f, g)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    certified, fallback = _split_inputs()
+    for p in certified + fallback:
+        calls.clear()
+        _, want = _to_sympy(p).sqf_list()
+        assert squarefree_parts(p) == sorted(
+            ((_from_sympy(f.monic()), m) for f, m in want),
+            key=lambda fm: fm[1]), p
+        assert bool(calls) == (p in fallback), p  # Yun's gcds over Q
+        _check(p)
 
 
 def _count_splits(monkeypatch) -> list[Poly]:
