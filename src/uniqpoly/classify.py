@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .criteria import (
@@ -374,11 +373,10 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
         b.note("single-critical-point", {"profile": list(cs.profile)},
                "a pure-power translate, nothing is unique")
 
-    scan_f = linear_factor_scan(idx, "F")
-    scan_fc = linear_factor_scan(idx, "F_c")
+    scan = linear_factor_scan(idx)
 
     # rule 1: rotations fixing the centered form kill uniqueness outright
-    for f in scan_f.factors:  # at most one, the whole rotation group
+    for f in scan.shared:  # at most one, the whole rotation group
         w = _scaling_witness(f.order, 0, idx.center)
         if not verify_witness(p, w):
             raise RuntimeError("rotation witness failed to replay")
@@ -387,7 +385,7 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
             b.set(slot, "no", "support-rotation-identity", inputs, lambda: w)
 
     # rule 2: rotations that only rescale the value kill strong uniqueness
-    for f in scan_fc.factors:
+    for f in scan.scaled:
         w = _scaling_witness(f.order, f.c_exponent, idx.center)
         if not verify_witness(p, w):
             raise RuntimeError("multiplier witness failed to replay")
@@ -400,10 +398,10 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
 
     # rule 3: with a wide gap below the top exponent, the rotation scan
     # is complete, so coprime support settles the strong verdicts
-    if scan_f.applicable:
-        clean = not scan_f.factors and not scan_fc.factors
+    if scan.applicable:
+        clean = not scan.shared and not scan.scaled
         inputs = {
-            "gap": scan_f.gap,
+            "gap": scan.gap,
             "support_gcd": idx.symmetry_order,
             "shifted_gcd": idx.projective_symmetry_order,
             "bezout_support": idx.bezout_support,
@@ -411,7 +409,7 @@ def classify(p: Poly, degree_cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
         }
         if clean:
             b.set("sup_rational", "yes", "wide-gap-strong-rational", inputs)
-            if scan_f.gap >= 4:
+            if scan.gap >= 4:
                 b.set("sup_meromorphic", "yes", "wide-gap-strong-meromorphic",
                       inputs)
             else:
@@ -598,8 +596,6 @@ def corollary_shape(p: Poly) -> Optional[tuple[Fraction, int, int, Fraction, Fra
 
 # the independent linear-witness oracle
 
-# the audit searches both modes of one P; they share a single call
-@lru_cache(maxsize=1)
 def _constraint_gcd(p: Poly) -> int:
     """gcd of the coefficient equations for P(beta X + gamma) = beta^n P(X).
 
@@ -637,48 +633,49 @@ def _constraint_gcd(p: Poly) -> int:
     return d
 
 
-def witness_search(p: Poly, mode: str) -> Optional[Witness]:
-    """Search for a map x -> beta x + gamma with P(beta X + gamma) = c P(X).
+def witness_search(p: Poly) -> tuple[Optional[Witness], Optional[Witness]]:
+    """Search for maps x -> beta x + gamma with P(beta X + gamma) = c P(X).
 
     Exact coefficient comparison reduces the problem to the constraint
     gcd beta^m (beta^d - 1), whose d ``_constraint_gcd`` returns, so the
     answer is read off d and n in closed form. The identity map never counts and
     beta = 0 is no map, so the solutions are the roots of beta^d - 1
-    other than 1, and mode "c_equals_1", the maps with c = beta^n = 1
-    that break plain uniqueness, cuts d to gcd(d, n). With d = 1 nothing
+    other than 1, and the maps with c = beta^n = 1, which break plain
+    uniqueness, are those of gcd(d, n). With d = 1 nothing
     is left; an even d admits the rational beta = -1; an odd d admits
     the primitive r-th roots of unity exactly for the divisors r of d,
     and the witness takes the least r >= 3, which is at most the degree.
     When the gcd is 0, P is a power of X - s and every rotation about s
     works; the odd-degree c = 1 search then returns the one of order n.
-    Returns a replayed witness or None.
+    Returns the replayed witnesses for any c and for c = 1, each None
+    when no map exists.
     """
-    if mode not in ("any_c", "c_equals_1"):
-        raise ValueError("mode must be 'any_c' or 'c_equals_1'")
     d = _constraint_gcd(p)
     n = p.degree
     power = d == 0
-    if mode == "c_equals_1":
-        d = math.gcd(d, n)
-    if d == 1:
-        return None  # only the identity map
     s = Q(-p.prim[n - 1], n * p.prim[n])  # the center
-    if d % 2 == 0:
-        beta = Q(-1)
-        gamma = s * (1 - beta)
-        c = beta**n
-        w = Witness(
-            kind="scaling" if c == 1 else "scaling-with-c",
-            order=2, beta=beta, gamma=gamma, c=c, c_exponent=n, center=s,
-            identity=f"P({beta} X + {gamma}) = {c} P(X)",
-        )
-    else:
-        order = n if power else next(r for r in range(3, d + 1, 2)
-                                     if d % r == 0)
-        w = _scaling_witness(order, n, s)
-    if not verify_witness(p, w):
-        raise RuntimeError("searched witness failed to replay")
-    return w
+
+    def search(d: int) -> Optional[Witness]:
+        if d == 1:
+            return None  # only the identity map
+        if d % 2 == 0:
+            beta = Q(-1)
+            gamma = s * (1 - beta)
+            c = beta**n
+            w = Witness(
+                kind="scaling" if c == 1 else "scaling-with-c",
+                order=2, beta=beta, gamma=gamma, c=c, c_exponent=n, center=s,
+                identity=f"P({beta} X + {gamma}) = {c} P(X)",
+            )
+        else:
+            order = n if power else next(r for r in range(3, d + 1, 2)
+                                         if d % r == 0)
+            w = _scaling_witness(order, n, s)
+        if not verify_witness(p, w):
+            raise RuntimeError("searched witness failed to replay")
+        return w
+
+    return search(d), search(math.gcd(d, n))
 
 
 # cross-validation of a verdict against the oracle
@@ -696,13 +693,12 @@ def consistency_audit(p: Poly, verdict: Verdict) -> dict:
     # slots implied by one another share a Witness object; replay it once
     replayed: dict[int, bool] = {}
 
-    any_c = witness_search(p, "any_c")
-    c_one = witness_search(p, "c_equals_1")
+    found = dict(zip(("any_c", "c_equals_1"), witness_search(p)))
 
     for slot in SLOTS:
         value = verdict.slot(slot)
-        oracle = c_one if slot.startswith("up") else any_c
         mode = "c_equals_1" if slot.startswith("up") else "any_c"
+        oracle = found[mode]
         if value == "yes":
             if oracle is not None:
                 failures.append(
@@ -748,9 +744,7 @@ def consistency_audit(p: Poly, verdict: Verdict) -> dict:
         "ok": not failures,
         "failures": failures,
         "slots": checked,
-        "oracle": {
-            "any_c": any_c.as_dict() if any_c else None,
-            "c_equals_1": c_one.as_dict() if c_one else None,
-        },
+        "oracle": {k: None if w is None else w.as_dict()
+                   for k, w in found.items()},
         "table": table,
     }

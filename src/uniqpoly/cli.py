@@ -36,7 +36,7 @@ from .classify import (
 )
 from .criteria import (
     CriticalStructure,
-    IndexData,
+    LinearFactorScan,
     critical_structure,
     index_data,
     linear_factor_scan,
@@ -190,12 +190,11 @@ def _run_witness(text: str, args) -> tuple[int, dict]:
     if args.seed is not None:
         rep["seed"] = args.seed
     results = {}
-    for mode in ("any_c", "c_equals_1"):
-        w = witness_search(p, mode)
-        results[mode] = None if w is None else rpt.jsonable(w.as_dict())
+    for key, w in zip(("any_c", "c_equals_1"), witness_search(p)):
+        results[key] = None if w is None else rpt.jsonable(w.as_dict())
         if w is not None:
             # witness_search replays before returning; record that
-            results[mode]["replayed"] = True
+            results[key]["replayed"] = True
     rep["witnesses"] = results
     rep["timing"] = {"mode": "deterministic", "rule_steps": len(results)}
     return EXIT_OK, rep
@@ -224,7 +223,7 @@ def _census_block(config: Configuration, no_linear: bool,
 
 
 def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
-                         idx: IndexData) -> dict:
+                         scan: LinearFactorScan) -> dict:
     """Census of the scaled curve from rational critical data.
 
     Complete only when every critical value is rational (conjugate
@@ -257,9 +256,8 @@ def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
         for j in range(len(values))
         if i != j and values[i] == c * values[j]
     )
-    scan = linear_factor_scan(idx, "F_c")
     no_linear = not any(
-        f.c_rational is None or f.c_rational == c for f in scan.factors
+        f.c_rational is None or f.c_rational == c for f in scan.scaled
     )
     return _census_block(Configuration("scaled", mults, pairing), no_linear, {
         "critical_points": [x for x, _ in points],
@@ -268,11 +266,12 @@ def _scaled_census_block(p: Poly, c: Fraction, cs: CriticalStructure,
     })
 
 
-def _shared_census_block(cs: CriticalStructure, idx: IndexData) -> dict:
+def _shared_census_block(cs: CriticalStructure,
+                         scan: LinearFactorScan) -> dict:
     if not cs.is_separated:
         return {"available": False,
                 "reason": "critical values are not separated"}
-    no_linear = not linear_factor_scan(idx, "F").factors
+    no_linear = not scan.shared
     return _census_block(Configuration("shared", cs.profile), no_linear, {})
 
 
@@ -289,12 +288,12 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
         raise ValueError("the multiplier c must avoid 0 and 1")
     identities = verify_curve_identities(p, c if c is not None else Fraction(2))
     cs = critical_structure(p)
-    idx = index_data(p)
+    scan = linear_factor_scan(index_data(p))
     shared_keys = [k for k in identities if k.startswith("shared")]
     rep["shared_curve"] = {
         "defining": str(identities.shared),
         "identities": {k: identities[k] for k in shared_keys},
-        "census": rpt.jsonable(_shared_census_block(cs, idx)),
+        "census": rpt.jsonable(_shared_census_block(cs, scan)),
     }
     steps = 1 + len(identities)
     if c is not None:
@@ -303,7 +302,7 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
             "c": rpt.jsonable(c),
             "defining": str(identities.scaled),
             "identities": {k: identities[k] for k in scaled_keys},
-            "census": rpt.jsonable(_scaled_census_block(p, c, cs, idx)),
+            "census": rpt.jsonable(_scaled_census_block(p, c, cs, scan)),
         }
         steps += 1
     ok = all(identities[k] for k in shared_keys) if c is None \
@@ -313,14 +312,25 @@ def _run_curve(text: str, args) -> tuple[int, dict]:
     return (EXIT_OK if ok else EXIT_INTERNAL), rep
 
 
-def _run_forms(args) -> tuple[int, dict]:
+def _ints(text: str, sep: str, arg: str, form: str,
+          count: Optional[int] = None) -> tuple[int, ...]:
+    """The integers ``text`` lists between ``sep``, ``count`` of them when
+    given; otherwise a usage error naming the argument and its form."""
     try:
-        mults = tuple(int(part) for part in args.mults.split(","))
-        pairing = tuple(
-            tuple(int(x) for x in edge.split(":"))
-            for edge in args.pairing.split(",")
-            if edge
-        )
+        values = tuple(int(x) for x in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise UsageError(f"{arg}: {text!r} is not {form}")
+    return values
+
+
+def _run_forms(args) -> tuple[int, dict]:
+    mults = _ints(args.mults, ",", "mults", "a comma-separated list of"
+                  " integers")
+    pairing = tuple(_ints(edge, ":", "--pairing", "I:J", 2)
+                    for edge in args.pairing.split(",") if edge)
+    try:
         config = Configuration(args.kind, mults, pairing)
         # the report grows with P's degree n = 1 + sum(mults)
         if config.n > DEFAULT_DEGREE_CAP:

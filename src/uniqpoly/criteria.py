@@ -256,39 +256,37 @@ class LinearFactor:
 
 @dataclass(frozen=True)
 class LinearFactorScan:
-    applicable: bool  # high-gap shape present, so the family below is complete
+    applicable: bool  # high-gap shape present, so both families are complete
     gap: Optional[int]  # support gap below the top exponent, None for pure powers
-    factors: tuple[LinearFactor, ...]
+    shared: tuple[LinearFactor, ...]  # lines inside the shared curve F
+    scaled: tuple[LinearFactor, ...]  # lines inside the scaled curves F_c
 
 
-def linear_factor_scan(idx: IndexData, mode: str) -> LinearFactorScan:
-    """Lines X = bY inside a value-sharing curve, read off ``index_data(P)``.
+def linear_factor_scan(idx: IndexData) -> LinearFactorScan:
+    """Lines X = bY inside the shared and the scaled value-sharing curves,
+    read off ``index_data(P)``.
 
     Against the centered form, such a line inside the shared curve means
     P0(bY) = P0(Y), which holds for b a primitive r-th root of unity
     exactly when r divides every support exponent. Inside a scaled curve
     the line forces P0(bY) = c P0(Y) with c = b^low, possible exactly
     when r divides every support gap but not the low exponent itself.
-    The factors reported are always genuine. They are the complete list
+    The factors reported are always genuine. They are the complete lists
     of linear factors only when the support gap below the top exponent
     is at least 3, which rules out every line that is not through the
     center; ``applicable`` records that, and when it is False the caller
     must fall back to the separation route.
     """
-    if mode not in ("F", "F_c"):
-        raise ValueError("mode must be 'F' or 'F_c'")
+    shared: tuple[LinearFactor, ...] = ()
+    scaled: tuple[LinearFactor, ...] = ()
+    r = idx.symmetry_order
+    if r > 1:
+        shared = (LinearFactor(r, 0, Q(1)),)
+    r = idx.projective_symmetry_order
+    if r > 1 and idx.low_exp % r != 0:
+        scaled = (LinearFactor(r, idx.low_exp, Q(-1) if r == 2 else None),)
     applicable = idx.tail_gap is not None and idx.tail_gap >= 3
-    factors: list[LinearFactor] = []
-    if mode == "F":
-        r = idx.symmetry_order
-        if r > 1:
-            factors.append(LinearFactor(r, 0, Q(1)))
-    else:
-        r = idx.projective_symmetry_order
-        if r > 1 and idx.low_exp % r != 0:
-            c_rat = Q(-1) if r == 2 else None
-            factors.append(LinearFactor(r, idx.low_exp, c_rat))
-    return LinearFactorScan(applicable, idx.tail_gap, tuple(factors))
+    return LinearFactorScan(applicable, idx.tail_gap, shared, scaled)
 
 
 # the value-orbit quartic

@@ -25,9 +25,9 @@ from typing import Callable, Iterator, Optional
 from .classify import (
     SLOTS,
     classify,
+    consistency_audit,
     corollary_classify,
     verify_witness,
-    witness_search,
 )
 from .criteria import (
     critical_structure,
@@ -62,7 +62,8 @@ def _result(name: str, start: float, cases: int,
         str(f) for f in failures[:5])
     if not ok and len(failures) > 5:
         detail += f" (+{len(failures) - 5} more)"
-    return CriterionResult(name, ok, cases, detail, time.time() - start)
+    return CriterionResult(name, ok, cases, detail,
+                           time.perf_counter() - start)
 
 
 def _one_gap_poly(n: int, m: int, a: Q, b: Q) -> Poly:
@@ -82,7 +83,7 @@ def one_gap_table_agreement(max_n: int = 10) -> CriterionResult:
     """The exponent-arithmetic table matches the full classifier on the
     one-gap grid, including the pinned rows and the scaling witnesses
     on the b = 0 rows."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
     cases = 0
     for n, m, a, b in _grid(max_n):
@@ -114,35 +115,17 @@ def one_gap_table_agreement(max_n: int = 10) -> CriterionResult:
 
 def witness_oracle_agreement(max_n: int = 10) -> CriterionResult:
     """On the one-gap grid the direct map search finds a witness behind
-    every plain negative verdict and nothing behind a positive one."""
-    start = time.time()
+    every plain negative verdict and nothing behind a positive one, as
+    ``consistency_audit`` checks it."""
+    start = time.perf_counter()
     failures: list = []
     cases = 0
     for n, m, a, b in _grid(max_n):
         cases += 1
         p = _one_gap_poly(n, m, a, b)
-        v = classify(p)
-        found = {
-            "c_equals_1": witness_search(p, mode="c_equals_1"),
-            "any_c": witness_search(p, mode="any_c"),
-        }
-        for slot in SLOTS:
-            mode = "c_equals_1" if slot.startswith("up") else "any_c"
-            w = found[mode]
-            verdict = v.slot(slot)
-            if verdict == "yes":
-                if w is not None:
-                    failures.append((n, m, a, b, slot, "unexpected witness"))
-            elif verdict == "no":
-                attached = v.witnesses.get(slot)
-                if attached is None:
-                    failures.append((n, m, a, b, slot, "no witness attached"))
-                elif attached.kind == "paper-exception":
-                    continue
-                elif w is None:
-                    failures.append((n, m, a, b, slot, "oracle found nothing"))
-                elif not verify_witness(p, w):
-                    failures.append((n, m, a, b, slot, "no exact replay"))
+        audit = consistency_audit(p, classify(p))
+        if not audit["ok"]:
+            failures.append((n, m, a, b, audit["failures"]))
     return _result("witness-oracle-agreement", start, cases, failures)
 
 
@@ -158,33 +141,29 @@ def converse_factor_pins() -> CriterionResult:
     value-sharing curves: the scan must find the line, with the order
     and multiplier exponent read off the support, and the line must
     divide the curve, checked as a congruence on the exponents."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
-    # (polynomial, mode, order, multiplier exponent)
+    # (polynomial, order, multiplier exponent); exponent 0 mod the order
+    # is a line of the shared curve, any other one of a scaled curve
     pins = [
-        (X**7 + X**3 + X, "F_c", 2, 1),
-        (X**6 + X**3, "F", 3, 0),
-        (X**8 + X**4 + X**2, "F", 2, 0),
+        (X**7 + X**3 + X, 2, 1),
+        (X**6 + X**3, 3, 0),
+        (X**8 + X**4 + X**2, 2, 0),
     ]
     cases = 0
-    for p, mode, order, c_exp in pins:
+    for p, order, c_exp in pins:
         cases += 1
-        idx = index_data(p)
-        scan = linear_factor_scan(idx, mode)
+        scan = linear_factor_scan(index_data(p))
         if not scan.applicable:
             failures.append((str(p), "scan not applicable"))
             continue
-        match = [f for f in scan.factors
-                 if f.order == order and f.c_exponent % order == c_exp % order]
-        if not match:
+        lines = scan.shared + scan.scaled
+        if not any(f.order == order and (f.c_exponent - c_exp) % order == 0
+                   for f in lines):
             failures.append((str(p), "expected factor not found"))
-            continue
-        if not _factor_divides(p, order, c_exp):
-            failures.append((str(p), "factor fails cyclotomic division"))
-        other = "F" if mode == "F_c" else "F_c"
-        for f in linear_factor_scan(idx, other).factors:
+        for f in lines:
             if not _factor_divides(p, f.order, f.c_exponent):
-                failures.append((str(p), other, "stray factor does not divide"))
+                failures.append((str(p), f, "factor does not divide"))
     return _result("converse-factor-pins", start, cases, failures)
 
 
@@ -209,7 +188,7 @@ def _random_poly(rng: random.Random, max_deg: int, min_deg: int = 2,
 def curve_identity_suite(cases: int = 100, seed: int = 0) -> CriterionResult:
     """Both value-sharing curves satisfy their defining identities, the
     Euler relation and the diagonal restrictions, for random input."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed ^ 0x1D5)
     failures: list = []
     for _ in range(cases):
@@ -263,7 +242,7 @@ def separation_float_agreement(cases: int = 200,
                                seed: int = 0) -> CriterionResult:
     """The exact value-separation verdict agrees with a floating-point
     oracle built on Aberth root finding at tolerance 1e-9."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed ^ 0x5E9)
     failures: list = []
     for _ in range(cases):
@@ -291,7 +270,7 @@ def separation_float_agreement(cases: int = 200,
 
 def genus_pins() -> CriterionResult:
     """Genus values of the named curves, via census and degree alone."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
     cases = 0
 
@@ -380,7 +359,7 @@ def _hand_scaled(mults, pairing) -> str:
 def order_table_agreement(max_n: int = 12) -> CriterionResult:
     """The constructed-form verdicts match the hand-encoded statement
     table over every configuration type up to the degree bound."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
     cases = 0
     for cfg in enumerate_configurations(max_n):
@@ -397,7 +376,7 @@ def order_table_agreement(max_n: int = 12) -> CriterionResult:
 def exceptional_quartic_flags() -> CriterionResult:
     """The value-orbit flag fires on the one quartic built for it and
     stays quiet across a grid of ordinary quartics."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
     cases = 0
     cs = critical_structure(X**4 - 4 * X)
@@ -487,7 +466,7 @@ def property_suites(cases: int = 10_000, seed: int = 0) -> CriterionResult:
     """Four randomized invariant suites at a fixed seed: core
     arithmetic, verdict lattice shape, shift/scale invariance of the
     classifier, and parser round trips."""
-    start = time.time()
+    start = time.perf_counter()
     failures: list = []
     suites: list[tuple[str, Callable[[random.Random], Optional[str]], int]] = [
         ("poly-core", _property_poly_core, cases),

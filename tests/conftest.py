@@ -11,6 +11,11 @@ appears in the checkout. Each test's own ``max_examples`` and
 and the audit's replay share one; the cache is emptied before each test,
 so that no test reads a structure an earlier one built, perhaps under a
 stub.
+
+``count_calls(module, name)`` rebinds ``module.name`` to a wrapper that
+records the positional arguments of each call, for the rest of the test,
+and returns the list it records into; pass that list as ``calls`` to
+count two names together.
 """
 
 import shutil
@@ -41,3 +46,19 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def _fresh_critical_structure():
     criteria.critical_structure.cache_clear()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    def count(module, name: str, calls=None) -> list:
+        calls = [] if calls is None else calls
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

@@ -85,21 +85,14 @@ def _answers(p) -> tuple:
     return cs.is_separated, cs.has_zero_value, cs.profile, cs.radical
 
 
-def test_modular_and_exact_critical_structure_agree(monkeypatch):
+def test_modular_and_exact_critical_structure_agree(monkeypatch, count_calls):
     inputs = _benchmark_inputs("batch_small", "degree_ladder")
     assert len(inputs) == 96 + 21  # every well-formed line under the cap
     modular = [_answers(p) for p in inputs]
     monkeypatch.setattr(criteria, "separation_mod_p", lambda rad, p: None)
     # critical_structure keeps its last answer, built before the stub
     criteria.critical_structure.cache_clear()
-    exact = criteria.poly_gcd
-    separation_gcds = []
-
-    def counted(f, g):
-        separation_gcds.append(1)
-        return exact(f, g)
-
-    monkeypatch.setattr(criteria, "poly_gcd", counted)
+    separation_gcds = count_calls(criteria, "poly_gcd")
     assert [_answers(p) for p in inputs] == modular
     assert len(separation_gcds) == len(inputs)  # the exact path decided each
 
@@ -110,12 +103,12 @@ def test_critical_structure_matches_the_split_reference():
                 == _reference_structure(p)), p
 
 
-def test_critical_structure_takes_no_prs_gcd_and_one_full_image(monkeypatch):
+def test_critical_structure_takes_no_prs_gcd_and_one_full_image(count_calls):
     # the image of P' certifies or splits every input: a repeated factor
     # of P' or P is lifted from its image modulo q, the radical's image is
     # read off the first, and no gcd over Q is taken
-    gcds = _count_calls(monkeypatch, polynomials, "_int_gcd")
-    images = _count_calls(monkeypatch, polynomials, "_value_poly_mod")
+    gcds = count_calls(polynomials, "_int_gcd")
+    images = count_calls(polynomials, "_value_poly_mod")
     repeated = 0
     for p in _benchmark_inputs("batch_small", "degree_ladder"):
         images.clear()
@@ -156,66 +149,54 @@ def test_centered_form_matches_a_horner_shift():
         assert criteria.normalize(p).centered.coeffs == _horner_centered(p), p
 
 
-def _count_calls(monkeypatch, module, name: str) -> list:
-    calls: list = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_classify_without_a_zero_value_takes_no_radical(monkeypatch):
+def test_classify_without_a_zero_value_takes_no_radical(count_calls):
     # with no zero critical value P is squarefree, so its zero-set symmetry
     # is read off index_data(P) and no radical is taken
     inputs = _benchmark_inputs("batch_small", "degree_ladder", "curve_census")
     inputs = [p for p in inputs
               if not criteria.critical_structure(p).has_zero_value]
     assert len(inputs) >= 100
-    calls = _count_calls(monkeypatch, criteria, "radical")
-    calls += _count_calls(monkeypatch, classify_mod, "radical")
+    calls = count_calls(criteria, "radical")
+    count_calls(classify_mod, "radical", calls)
     for p in inputs:
         classify_mod.classify(p)
     assert calls == []
 
 
-def test_batch_small_takes_no_exact_resultant(monkeypatch):
+def test_batch_small_takes_no_exact_resultant(count_calls):
     # the quartic flags read traces over Q, not the value polynomial
     inputs = _benchmark_inputs("batch_small")
     assert sum(criteria.critical_structure(p).profile == (1, 1, 1)
                and p.degree == 4 for p in inputs) >= 10
-    calls = _count_calls(monkeypatch, criteria, "resultant")
+    calls = count_calls(criteria, "resultant")
     for p in inputs:
         classify_mod.consistency_audit(p, classify_mod.classify(p))
     assert calls == []
 
 
-def test_zero_valued_degree_64_takes_no_exact_resultant(monkeypatch):
+def test_zero_valued_degree_64_takes_no_exact_resultant(count_calls):
     gen = _gen()
     p = Poly([Fraction(c) for c in gen.random_dense(random.Random(0), 64,
                                                     False)])
     assert p.coeff(0) == p.coeff(1) == 0  # X^2 divides P: 0 is a value
     p = p.taylor_shift(Fraction(4, 5)) * Fraction(-3, 7)
-    calls = _count_calls(monkeypatch, criteria, "resultant")
+    calls = count_calls(criteria, "resultant")
     cs = criteria.critical_structure(p)
     assert cs.is_separated and cs.has_zero_value
     assert calls == []  # the exact Res(rad P', P) took 1.6 s here
 
 
-def test_witness_search_takes_no_gcd_root_or_cyclotomic(monkeypatch):
-    # the oracle reads its answer off the closed-form constraint gcd
+def test_witness_search_takes_no_gcd_root_or_cyclotomic(count_calls):
+    # the oracle reads both answers off the closed-form constraint gcd
     inputs = _benchmark_inputs("batch_small", "degree_ladder")
     verdicts = [classify_mod.classify(p) for p in inputs]
-    searches = _count_calls(monkeypatch, classify_mod, "witness_search")
-    calls = [_count_calls(monkeypatch, classify_mod, name)
+    searches = count_calls(classify_mod, "witness_search")
+    calls = [count_calls(classify_mod, name)
              for name in ("poly_gcd", "rational_roots", "cyclotomic")]
     found = 0
     for p, v in zip(inputs, verdicts):
         oracle = classify_mod.consistency_audit(p, v)["oracle"]
         found += sum(w is not None for w in oracle.values())
-    assert len(searches) == 2 * len(inputs)
+    assert len(searches) == len(inputs)
     assert found > 0  # some searches find a map
     assert calls == [[], [], []]

@@ -158,7 +158,7 @@ def test_value_orbit_exception():
     assert len(w.certificates["census"]) == 3
     assert verify_witness(p, w)
     # and the oracle really finds no linear map
-    assert witness_search(p, "any_c") is None
+    assert witness_search(p)[0] is None
 
     # same variety with the multiplier rule available: the cheap linear
     # witness wins and the verdict agrees
@@ -178,7 +178,7 @@ def test_zero_set_symmetry_exception():
     assert w.case == "zero-set-symmetry"
     assert w.order == 2 and w.center == Q(0)
     assert verify_witness(p, w)
-    assert witness_search(p, "any_c") is None
+    assert witness_search(p)[0] is None
 
 
 def test_out_of_scope_reporting():
@@ -213,22 +213,21 @@ def test_shift_scale_invariance():
 
 
 def test_witness_search_pins():
-    w = witness_search(X**4 + X**2 + 1, "c_equals_1")
+    w = witness_search(X**4 + X**2 + 1)[1]
     assert (w.beta, w.gamma, w.c) == (Q(-1), Q(0), Q(1))
-    w = witness_search(X**7 + X**3 + X, "any_c")
+    w, c_one = witness_search(X**7 + X**3 + X)
     assert (w.beta, w.gamma, w.c) == (Q(-1), Q(0), Q(-1))
-    assert witness_search(X**5 + X**3 + 1, "any_c") is None
+    assert c_one is None  # odd support: no map keeps c = 1
+    assert witness_search(X**5 + X**3 + 1)[0] is None
     # shifted input: gamma follows the center
-    w = witness_search((X - 1)**4 + (X - 1)**2, "c_equals_1")
+    w = witness_search((X - 1)**4 + (X - 1)**2)[1]
     assert w.beta == Q(-1) and w.gamma == Q(2) and w.c == Q(1)
     # cyclotomic solution: order 3 map for the pure cube
-    w = witness_search(X**3, "c_equals_1")
+    w = witness_search(X**3)[1]
     assert w.order == 3 and w.beta is None and w.c_exponent == 0
     # a line maps onto itself with c = 1 only by the identity
-    assert witness_search(X + 1, "c_equals_1") is None
-    assert witness_search(3 * X - 2, "c_equals_1") is None
-    with pytest.raises(ValueError):
-        witness_search(X**4, "shared")
+    assert witness_search(X + 1)[1] is None
+    assert witness_search(3 * X - 2)[1] is None
 
 
 def test_corollary_table():
@@ -279,35 +278,23 @@ def test_consistency_audit():
     assert not rep["ok"]
 
 
-def _count_calls(monkeypatch, module, name, calls=None) -> list:
-    calls = [] if calls is None else calls
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_classify_and_audit_normalize_once(monkeypatch):
+def test_classify_and_audit_normalize_once(count_calls):
     # the audit's corollary_shape reuses the normal form index_data built;
     # this input has no symmetry, so no witness replay shifts it either
     from uniqpoly.criteria import normalize
     normalize.cache_clear()
-    calls = _count_calls(monkeypatch, Poly, "taylor_shift")
+    calls = count_calls(Poly, "taylor_shift")
     p = X**7 + 3 * X**5 - 2 * X**4 + X**3 + 5 * X + 1
     v = classify(p)
     assert consistency_audit(p, v)["ok"]
     assert len(calls) == 1
 
 
-def test_classify_computes_index_data_once(monkeypatch):
+def test_classify_computes_index_data_once(count_calls):
     from uniqpoly import criteria
 
-    calls = _count_calls(monkeypatch, classify_mod, "index_data")
-    _count_calls(monkeypatch, criteria, "index_data", calls)
+    calls = count_calls(classify_mod, "index_data")
+    count_calls(criteria, "index_data", calls)
     for p in [X**4 + X + 1, X**7 + X**3 + X, X**8 + X**4 + X**2]:
         calls.clear()
         classify(p)
@@ -320,28 +307,33 @@ def test_classify_computes_index_data_once(monkeypatch):
     assert calls == [(p,), (X**3 - X,)]
 
 
-def test_audit_builds_constraint_gcd_once():
-    gcd = classify_mod._constraint_gcd
+def test_audit_builds_constraint_gcd_once(count_calls):
+    # one search answers both the any-c and the c = 1 question
+    calls = count_calls(classify_mod, "_constraint_gcd")
     for p in [X**4 + X + 1, X**6 + X**3, X**7 + X**3 + X]:
         v = classify(p)
-        gcd.cache_clear()
+        calls.clear()
         rep = consistency_audit(p, v)
         assert rep["ok"], rep["failures"]
-        assert gcd.cache_info().misses == 1
-    # each mode still searches on its own when called alone
-    gcd.cache_clear()
-    assert witness_search(X**6 + X**3, "c_equals_1").order == 3
-    assert gcd.cache_info().misses == 1
+        assert calls == [(p,)]
 
 
-def test_audit_replays_a_shared_witness_once(monkeypatch):
+def test_classify_scans_for_lines_once(count_calls):
+    calls = count_calls(classify_mod, "linear_factor_scan")
+    for p in [X**4 + X + 1, X**7 + X**3 + X, X**8 + X**4 + X**2]:
+        calls.clear()
+        classify(p)
+        assert len(calls) == 1
+
+
+def test_audit_replays_a_shared_witness_once(count_calls):
     # both meromorphic slots of X^4 + X + 1 hold one paper-exception
     # witness; classify and its single replay each ask for the structure
     # once, and it is computed once: the replay reads the one classify built
     from uniqpoly import criteria
 
-    calls = _count_calls(monkeypatch, classify_mod, "critical_structure")
-    images = _count_calls(monkeypatch, criteria, "separation_mod_p")
+    calls = count_calls(classify_mod, "critical_structure")
+    images = count_calls(criteria, "separation_mod_p")
     p = X**4 + X + 1
     v = classify(p)
     assert v.witnesses["up_meromorphic"] is v.witnesses["sup_meromorphic"]

@@ -355,40 +355,35 @@ def test_affine_symmetry_matches_the_shifted_radical():
 
 def test_linear_factor_scan():
     # even polynomial: line with multiplier 1, none with multiplier != 1
-    scan = linear_factor_scan(index_data(X**8 + X**4 + X**2), "F")
+    scan = linear_factor_scan(index_data(X**8 + X**4 + X**2))
     assert scan.applicable and scan.gap == 4
-    assert [f.order for f in scan.factors] == [2]
-    assert scan.factors[0].c_rational == 1
-    scan = linear_factor_scan(index_data(X**8 + X**4 + X**2), "F_c")
-    assert scan.factors == ()
+    assert [f.order for f in scan.shared] == [2]
+    assert scan.shared[0].c_rational == 1
+    assert scan.scaled == ()
 
     # odd polynomial: the scaled curve picks up X + Y with c = -1
-    scan = linear_factor_scan(index_data(X**7 + X**3 + X), "F_c")
+    scan = linear_factor_scan(index_data(X**7 + X**3 + X))
     assert scan.applicable
-    assert scan.factors == (LinearFactor(2, 1, Q(-1)),)
-    assert linear_factor_scan(index_data(X**7 + X**3 + X), "F").factors == ()
+    assert scan.scaled == (LinearFactor(2, 1, Q(-1)),)
+    assert scan.shared == ()
 
-    scan = linear_factor_scan(index_data(X**4 - 4 * X), "F_c")
+    scan = linear_factor_scan(index_data(X**4 - 4 * X))
     assert scan.applicable and scan.gap == 3
-    assert scan.factors == (LinearFactor(3, 1, None),)  # multiplier z, z^3 = 1
-    assert linear_factor_scan(index_data(X**4 - 4 * X), "F").factors == ()
+    assert scan.scaled == (LinearFactor(3, 1, None),)  # multiplier z, z^3 = 1
+    assert scan.shared == ()
 
-    for mode in ("F", "F_c"):
-        scan = linear_factor_scan(index_data(X**4 + X + 1), mode)
-        assert scan.applicable and scan.factors == ()
+    scan = linear_factor_scan(index_data(X**4 + X + 1))
+    assert scan.applicable and scan.shared == () and scan.scaled == ()
 
     # gap 2: factors still reported, but the list is not certified complete
-    scan = linear_factor_scan(index_data(X**6 + X**4), "F")
+    scan = linear_factor_scan(index_data(X**6 + X**4))
     assert not scan.applicable and scan.gap == 2
-    assert scan.factors == (LinearFactor(2, 0, Q(1)),)
+    assert scan.shared == (LinearFactor(2, 0, Q(1)),)
 
     # pure power: no second support exponent, never applicable
-    scan = linear_factor_scan(index_data(X**6), "F")
+    scan = linear_factor_scan(index_data(X**6))
     assert not scan.applicable and scan.gap is None
-    assert scan.factors == (LinearFactor(6, 0, Q(1)),)
-
-    with pytest.raises(ValueError):
-        linear_factor_scan(index_data(X**4 + X), "shared")
+    assert scan.shared == (LinearFactor(6, 0, Q(1)),)
 
 
 def _shared_grants(cs) -> tuple[bool, bool]:

@@ -29,7 +29,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from uniqpoly import criteria, polynomials
+from uniqpoly import criteria, polynomials, selftest
 from uniqpoly.classify import _constraint_gcd, classify, consistency_audit
 from uniqpoly.criteria import critical_structure
 from uniqpoly.polynomials import (
@@ -178,20 +178,13 @@ def _inputs_with_denominators() -> list[Poly]:
     return out
 
 
-def test_exact_fallback_when_no_prime_answers(monkeypatch):
+def test_exact_fallback_when_no_prime_answers(monkeypatch, count_calls):
     inputs = _inputs_with_denominators()
     want = [_results(p) for p in inputs]
     monkeypatch.setattr(criteria, "separation_mod_p", lambda rad, p: None)
     # critical_structure keeps its last answer, built before the stub
     criteria.critical_structure.cache_clear()
-    exact = criteria.poly_gcd
-    separation_gcds = []
-
-    def counted(f, g):
-        separation_gcds.append(1)
-        return exact(f, g)
-
-    monkeypatch.setattr(criteria, "poly_gcd", counted)
+    separation_gcds = count_calls(criteria, "poly_gcd")
     assert [_results(p) for p in inputs] == want
     assert len(separation_gcds) >= len(inputs)  # the fallback ran for each
 
@@ -218,23 +211,15 @@ def test_squarefree_mod():
     assert _squarefree_mod([-2, 0, 1], q)
 
 
-def test_constraint_gcd_stops_at_beta_minus_one(monkeypatch):
-    calls = []
-    replay = classify_mod.verify_witness
-
-    def counted(p, w):
-        calls.append(1)
-        return replay(p, w)
-
-    monkeypatch.setattr(classify_mod, "verify_witness", counted)
+def test_constraint_gcd_stops_at_beta_minus_one(count_calls):
+    calls = count_calls(classify_mod, "verify_witness")
     rng = random.Random(20)
     for _ in range(3):
         p = _dense(rng, 20)
         assert _constraint_gcd(p) == 1  # beta^m (beta - 1)
-        # beta^m (beta - 1) admits only the identity, in either mode
-        assert classify_mod.witness_search(p, "any_c") is None
-        assert classify_mod.witness_search(p, "c_equals_1") is None
-    assert calls == []  # both searches stop before building a witness
+        # beta^m (beta - 1) admits only the identity, for any c and c = 1
+        assert classify_mod.witness_search(p) == (None, None)
+    assert calls == []  # the search stops before building a witness
 
 
 def _fold_constraint_gcd(p: Poly) -> Poly:
@@ -255,7 +240,7 @@ def _strip(g: Poly, root: Q) -> Poly:
     return g
 
 
-def _reference_search(p: Poly, mode: str):
+def _reference_search(p: Poly, c_equals_1: bool):
     """(order, beta) of the map the search must find, or None: the fold's
     gcd with the roots 1 and 0 stripped, cut down to the c = 1 maps by
     gcd with beta^n - 1, then its least rational root, else its least
@@ -263,11 +248,11 @@ def _reference_search(p: Poly, mode: str):
     n = p.degree
     g = _fold_constraint_gcd(p)
     if g.is_zero:
-        if mode == "any_c" or n % 2 == 0:
+        if not c_equals_1 or n % 2 == 0:
             return 2, Q(-1)
         return (n, None) if n > 1 else None
     g = _strip(_strip(g, Q(1)), Q(0))
-    if mode == "c_equals_1":
+    if c_equals_1:
         g = polynomials.poly_gcd(g, Poly.from_support({n: 1, 0: -1}))
     if g.degree < 1:
         return None
@@ -339,20 +324,24 @@ def test_witness_search_matches_the_reference():
     rng = random.Random(29)
     cases = [(p, None) for p in _search_inputs()]
     for p, d, any_c, c_one in CLOSED_FORM_CASES:
-        want = {"any_c": any_c, "c_equals_1": c_one}
         shifted = (p.taylor_shift(Q(rng.randint(-9, 9), rng.randint(2, 9)))
                    * Q(rng.choice([-1, 1]) * rng.randint(1, 9),
                        rng.randint(1, 9)))
         for q in (p, shifted):  # a rational center and content
             assert _constraint_gcd(q) == d
-            cases.append((q, want))
+            cases.append((q, (any_c, c_one)))
     for p, want in cases:
-        for mode in ("any_c", "c_equals_1"):
-            w = classify_mod.witness_search(p, mode)
-            got = None if w is None else (w.order, w.beta)
-            assert got == _reference_search(p, mode), (p, mode)
-            if want is not None:
-                assert got == want[mode], (p, mode)
+        got = tuple(None if w is None else (w.order, w.beta)
+                    for w in classify_mod.witness_search(p))
+        assert got == (_reference_search(p, False),
+                       _reference_search(p, True)), p
+        if want is not None:
+            assert got == want, p
+    # a map with c = 1 is a map for some c
+    for n, m, a, b in selftest._grid(10):
+        any_c, c_one = classify_mod.witness_search(
+            selftest._one_gap_poly(n, m, a, b))
+        assert c_one is None or any_c is not None, (n, m, a, b)
 
 
 def test_degree_64_classify_is_fast():
@@ -363,52 +352,33 @@ def test_degree_64_classify_is_fast():
     assert consistency_audit(p, v)["ok"]
 
 
-def _count_calls(monkeypatch, *names: str) -> dict:
-    """Count the calls ``critical_structure`` makes to these names."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(criteria, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(criteria, name, counted)
-    return calls
-
-
-def test_separated_input_builds_no_exact_value_polynomial(monkeypatch):
-    calls = _count_calls(monkeypatch, "resultant", "lagrange_interpolate")
+def test_separated_input_builds_no_exact_value_polynomial(count_calls):
+    resultants = count_calls(criteria, "resultant")
+    interpolations = count_calls(criteria, "lagrange_interpolate")
     p = _dense(random.Random(20), 20)
     cs = critical_structure(p)
     assert cs.is_separated
     # neither separation nor the zero value needed an exact resultant
-    assert calls == {"resultant": 0, "lagrange_interpolate": 0}
+    assert resultants == [] and interpolations == []
     x = sympy.Symbol("x")
     want = sympy.resultant(_to_sympy(cs.radical, x).as_expr(),
                            T - _to_sympy(p, x).as_expr(), x)
     assert cs.separation_poly == _from_sympy(sympy.Poly(want, T, domain="QQ"))
-    assert calls == {"resultant": cs.radical.degree + 1,
-                     "lagrange_interpolate": 1}
+    assert len(resultants) == cs.radical.degree + 1
+    assert len(interpolations) == 1
 
 
-def test_separated_input_takes_no_exact_step(monkeypatch):
-    calls = _count_calls(monkeypatch, "resultant", "poly_gcd")
-    yun_gcds = []
-    exact = polynomials.poly_gcd
-
-    def counted(f, g):
-        yun_gcds.append(1)
-        return exact(f, g)
-
+def test_separated_input_takes_no_exact_step(count_calls):
+    resultants = count_calls(criteria, "resultant")
+    gcds = count_calls(criteria, "poly_gcd")
     # squarefree_parts certifies P and P' squarefree modulo a prime, so
     # Yun's algorithm takes no gcd either
-    monkeypatch.setattr(polynomials, "poly_gcd", counted)
+    yun_gcds = count_calls(polynomials, "poly_gcd")
     rng = random.Random(21)
     for _ in range(3):
         cs = critical_structure(_dense(rng, 20))
         assert cs.is_separated and not cs.has_zero_value
-    assert calls == {"resultant": 0, "poly_gcd": 0}
+    assert resultants == [] and gcds == []
     assert yun_gcds == []
 
 
@@ -423,16 +393,16 @@ def _zero_valued() -> list[Poly]:
     return out
 
 
-def test_zero_value_takes_no_exact_resultant(monkeypatch):
-    calls = _count_calls(monkeypatch, "resultant")
+def test_zero_value_takes_no_exact_resultant(count_calls):
+    calls = count_calls(criteria, "resultant")
     for p in _zero_valued():
-        calls["resultant"] = 0
+        calls.clear()
         cs = critical_structure(p)
         assert cs.has_zero_value, p
         # a non-separated P builds its exact value polynomial from l + 1
         # resultants; nothing else takes one
-        assert calls["resultant"] == (0 if cs.is_separated
-                                      else cs.radical.degree + 1), p
+        assert len(calls) == (0 if cs.is_separated
+                              else cs.radical.degree + 1), p
 
 
 def test_zero_value_matches_the_exact_resultant():

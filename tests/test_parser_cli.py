@@ -525,18 +525,22 @@ def test_curve_subcommand(capsys):
     assert scaled["pairing"] == []
 
 
-def test_curve_computes_critical_structure_once(capsys, monkeypatch):
-    calls = []
-    original = cli.critical_structure
-
-    def counted(p):
-        calls.append(p)
-        return original(p)
-
-    monkeypatch.setattr(cli, "critical_structure", counted)
+def test_curve_computes_critical_structure_once(capsys, count_calls):
+    calls = count_calls(cli, "critical_structure")
     code, out, _ = run_cli(capsys, "curve", "X^3-3X", "--c", "2")
     assert code == 0
     assert json.loads(out)["scaled_curve"]["census"]["available"] is True
+    assert len(calls) == 1
+
+
+def test_curve_scans_for_lines_once(capsys, count_calls):
+    # one scan holds the lines of the shared and of the scaled curve
+    calls = count_calls(cli, "linear_factor_scan")
+    code, out, _ = run_cli(capsys, "curve", "X^3-3X", "--c", "2")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["shared_curve"]["census"]["available"] is True
+    assert rep["scaled_curve"]["census"]["available"] is True
     assert len(calls) == 1
 
 
@@ -618,6 +622,19 @@ def test_forms_rejects_bad_pairing(capsys):
     code, _, err = run_cli(capsys, "forms", "scaled", "2,1",
                            "--pairing", "0:0")
     assert code == 1 and "pair" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scaled", "1,1", "--pairing", "0"), "--pairing: '0' is not I:J"),
+    (("scaled", "1,1", "--pairing", "0:1:2"),
+     "--pairing: '0:1:2' is not I:J"),
+    (("scaled", "2,1", "--pairing", "0:x"), "--pairing: '0:x' is not I:J"),
+    (("shared", "1,,2"),
+     "mults: '1,,2' is not a comma-separated list of integers"),
+])
+def test_forms_names_the_malformed_argument(capsys, argv, message):
+    assert run_cli(capsys, "forms", *argv) == (1, "",
+                                               f"uniqpoly: {message}\n")
 
 
 def test_forms_is_held_to_the_default_degree_cap(capsys):
